@@ -167,6 +167,18 @@ let alloc_reduction_vs_interp r =
     r.interp_query.alloc_bytes /. r.kernel_query.alloc_bytes
   else infinity
 
+let gate r =
+  if not r.identical then Error "the three execution paths disagree"
+  else if speedup_vs_interp r < 3. then
+    Error
+      (Printf.sprintf "columnar speedup %.1fx below the 3x acceptance floor"
+         (speedup_vs_interp r))
+  else if alloc_reduction_vs_interp r < 5. then
+    Error
+      (Printf.sprintf "allocation reduction %.1fx below the 5x acceptance floor"
+         (alloc_reduction_vs_interp r))
+  else Ok ()
+
 let print r =
   let row label t =
     Printf.printf "  %-18s %10.4f s  %12.3g cells/s  %14.3g bytes\n" label t.seconds

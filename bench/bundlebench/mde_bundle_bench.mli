@@ -17,7 +17,7 @@
     Construction (instantiation / bundle build) is timed separately from
     query execution, and every timing carries its [Gc.allocated_bytes]
     delta. All three paths must produce bit-identical samples
-    ({!result.identical} — callers should fail the run when false). *)
+    ({!result.identical}, checked by {!gate}). *)
 
 type timing = { seconds : float; alloc_bytes : float }
 
@@ -37,13 +37,11 @@ val run : ?domains:int -> rows:int -> reps:int -> seed:int -> unit -> result
 (** Execute the benchmark ([domains] > 1 runs bundle construction and the
     kernel query over a domain pool; results stay bit-identical). *)
 
-val speedup_vs_interp : result -> float
-(** Kernel query throughput over interpreted query throughput. *)
-
-val alloc_reduction_vs_interp : result -> float
-(** Interpreted query allocation over kernel query allocation. *)
-
-val cells_per_second : result -> timing -> float
+val gate : result -> (unit, string) Result.t
+(** The acceptance gate shared by the bench harness, [mde_cli
+    bundle-bench] and CI: the three paths bit-identical, the columnar
+    query at least 3x the interpreted query's throughput and at least
+    5x less allocation. [Error] carries a one-line reason. *)
 
 val print : result -> unit
 (** Human-readable table on stdout. *)

@@ -1,7 +1,8 @@
 (* The --relational experiment: row algebra vs interpreted vs compiled
-   columnar execution of one select/extend/group pipeline, recorded in
-   bench/BENCH_relational.json via the shared Mde_relational_bench
-   harness (also behind [mde_cli relational-bench]). *)
+   columnar execution of one select/extend/group pipeline, then packed vs
+   boxed keyed operators, recorded in bench/BENCH_relational.json and
+   gated via the shared Mde_relational_bench harness (also behind
+   [mde_cli relational-bench]). *)
 
 module B = Mde_relational_bench
 
@@ -12,28 +13,8 @@ let run ?(domains = 1) ?(rows = 200_000) ?(seed = 42) () =
   B.print result;
   let path = B.emit ~domains ~seed result in
   Util.note "recorded in %s" path;
-  if not result.B.identical then begin
-    Util.note "FAIL: the three engines disagree";
+  match B.gate result with
+  | Ok () -> ()
+  | Error msg ->
+    Util.note "FAIL: %s" msg;
     exit 1
-  end;
-  let speedup = B.speedup_vs_interp result in
-  if speedup < 3. then begin
-    Util.note "WARNING: kernel speedup %.1fx below the 3x acceptance floor" speedup;
-    exit 1
-  end;
-  (* Packed key codes: the keyed operators against their boxed twins. *)
-  let keyed = B.run_keyed ~domains ~rows ~seed () in
-  B.print_keyed keyed;
-  let path = B.emit_keyed ~domains ~seed keyed in
-  Util.note "recorded in %s" path;
-  if not keyed.B.kidentical then begin
-    Util.note "FAIL: packed and boxed keyed operators disagree";
-    exit 1
-  end;
-  let g = B.op_speedup keyed.B.group_op
-  and j = B.op_speedup keyed.B.join_op in
-  if g < 2. || j < 2. then begin
-    Util.note
-      "WARNING: packed keyed speedup below the 2x floor (group %.1fx, join %.1fx)" g j;
-    exit 1
-  end

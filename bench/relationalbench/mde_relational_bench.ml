@@ -9,12 +9,24 @@ type path = {
   group_t : timing;
 }
 
+type keyed_op = { packed_t : timing; boxed_t : timing; pooled_t : timing option }
+
+type keyed_result = {
+  krows : int;
+  group_op : keyed_op;
+  join_op : keyed_op;
+  distinct_op : keyed_op;
+  order_op : keyed_op;
+  kidentical : bool;
+}
+
 type result = {
   rows : int;
   row_path : path;
   interp_path : path;
   kernel_path : path;
   identical : bool;
+  keyed : keyed_result;
 }
 
 let timed f =
@@ -80,94 +92,7 @@ let run_columnar ?pool ~impl c =
   let grouped, group_t = timed (fun () -> Columnar.group_by ~impl ~keys ~aggs extended) in
   (Columnar.to_table grouped, { select_t; extend_t; group_t })
 
-let run ?(domains = 1) ~rows ~seed () =
-  let table = make_table ~rows ~seed in
-  let c = Columnar.of_table table in
-  let with_pool f =
-    (* Shared pool: domains live across runs, so spawn cost never lands
-       inside a timed section. *)
-    if domains > 1 then f (Some (Mde.Par.Pool.shared ~domains ())) else f None
-  in
-  with_pool (fun pool ->
-      (* One untimed pooled pass first: it trains the pool's per-site
-         crossover estimates, so the timed kernel stages measure steady
-         state rather than cold fan-out on work too small to split. *)
-      if pool <> None then ignore (run_columnar ?pool ~impl:`Kernel c);
-      (* Each path starts on a settled heap and keeps its best of two
-         runs per stage: single-shot timings at smoke row counts are
-         dominated by GC debt and scheduling noise, not the operator. *)
-      let min_timing a b =
-        {
-          seconds = Float.min a.seconds b.seconds;
-          alloc_bytes = Float.min a.alloc_bytes b.alloc_bytes;
-        }
-      in
-      let twice f =
-        Gc.full_major ();
-        let out, p = f () in
-        let _, q = f () in
-        ( out,
-          {
-            select_t = min_timing p.select_t q.select_t;
-            extend_t = min_timing p.extend_t q.extend_t;
-            group_t = min_timing p.group_t q.group_t;
-          } )
-      in
-      let row_out, row_path = twice (fun () -> run_rows table) in
-      let interp_out, interp_path = twice (fun () -> run_columnar ~impl:`Interpreter c) in
-      let kernel_out, kernel_path = twice (fun () -> run_columnar ?pool ~impl:`Kernel c) in
-      {
-        rows;
-        row_path;
-        interp_path;
-        kernel_path;
-        identical =
-          tables_identical row_out interp_out && tables_identical row_out kernel_out;
-      })
-
-let total p = p.select_t.seconds +. p.extend_t.seconds +. p.group_t.seconds
-let total_alloc p =
-  p.select_t.alloc_bytes +. p.extend_t.alloc_bytes +. p.group_t.alloc_bytes
-
-let rows_per_second r p =
-  let t = total p in
-  if t > 0. then float_of_int r.rows /. t else infinity
-
-let speedup_vs_interp r = rows_per_second r r.kernel_path /. rows_per_second r r.interp_path
-let speedup_vs_rows r = rows_per_second r r.kernel_path /. rows_per_second r r.row_path
-
-let alloc_reduction_vs_interp r =
-  let k = total_alloc r.kernel_path in
-  if k > 0. then total_alloc r.interp_path /. k else infinity
-
-let print r =
-  let line label p =
-    Printf.printf "  %-18s %10.4f s  %12.3g rows/s  %14.3g bytes\n" label (total p)
-      (rows_per_second r p) (total_alloc p)
-  in
-  Printf.printf "relational-bench: select -> extend -> group_by over %d rows\n\n" r.rows;
-  Printf.printf "  %-18s %12s  %14s  %14s\n" "engine" "wall" "throughput" "allocated";
-  line "row algebra" r.row_path;
-  line (Impl.to_string `Interpreter) r.interp_path;
-  line (Impl.to_string `Kernel) r.kernel_path;
-  Printf.printf "\n  kernel vs interpreter: %.1fx throughput, %.1fx less allocation\n"
-    (speedup_vs_interp r)
-    (alloc_reduction_vs_interp r);
-  Printf.printf "  kernel vs row algebra: %.1fx throughput\n" (speedup_vs_rows r);
-  Printf.printf "  outputs bit-identical across all three engines: %b\n" r.identical
-
 (* --- packed key codes: the keyed-operator benchmark ---------------- *)
-
-type keyed_op = { packed_t : timing; boxed_t : timing; pooled_t : timing option }
-
-type keyed_result = {
-  krows : int;
-  group_op : keyed_op;
-  join_op : keyed_op;
-  distinct_op : keyed_op;
-  order_op : keyed_op;
-  kidentical : bool;
-}
 
 (* A star-shaped input: a dictionary-coded string dimension key plus a
    small int bucket on the fact side, and a dimension table keyed by
@@ -210,7 +135,7 @@ let join_on = [ ("sku", "dsku"); ("g", "dg") ]
 let keyed_keys = [ "sku"; "g" ]
 let keyed_aggs = [ ("n", Algebra.Count); ("total", Algebra.Sum (Expr.col "v")) ]
 
-let run_keyed ?(domains = 1) ~rows ~seed () =
+let run_keyed ~domains ~rows ~seed =
   let fact, dim = make_keyed_tables ~rows ~seed in
   let keys_only = Columnar.project keyed_keys fact in
   let pool = if domains > 1 then Some (Mde.Par.Pool.shared ~domains ()) else None in
@@ -308,7 +233,96 @@ let print_keyed r =
   Printf.printf "\n  outputs bit-identical across packed/boxed/pooled paths: %b\n"
     r.kidentical
 
-let emit_keyed ?(file = "BENCH_relational.json") ?(domains = 1) ~seed r =
+let run ?(domains = 1) ~rows ~seed () =
+  let table = make_table ~rows ~seed in
+  let c = Columnar.of_table table in
+  let with_pool f =
+    (* Shared pool: domains live across runs, so spawn cost never lands
+       inside a timed section. *)
+    if domains > 1 then f (Some (Mde.Par.Pool.shared ~domains ())) else f None
+  in
+  with_pool (fun pool ->
+      (* One untimed pooled pass first: it trains the pool's per-site
+         crossover estimates, so the timed kernel stages measure steady
+         state rather than cold fan-out on work too small to split. *)
+      if pool <> None then ignore (run_columnar ?pool ~impl:`Kernel c);
+      (* Each path starts on a settled heap and keeps its best of two
+         runs per stage: single-shot timings at smoke row counts are
+         dominated by GC debt and scheduling noise, not the operator. *)
+      let min_timing a b =
+        {
+          seconds = Float.min a.seconds b.seconds;
+          alloc_bytes = Float.min a.alloc_bytes b.alloc_bytes;
+        }
+      in
+      let twice f =
+        Gc.full_major ();
+        let out, p = f () in
+        let _, q = f () in
+        ( out,
+          {
+            select_t = min_timing p.select_t q.select_t;
+            extend_t = min_timing p.extend_t q.extend_t;
+            group_t = min_timing p.group_t q.group_t;
+          } )
+      in
+      let row_out, row_path = twice (fun () -> run_rows table) in
+      let interp_out, interp_path = twice (fun () -> run_columnar ~impl:`Interpreter c) in
+      let kernel_out, kernel_path = twice (fun () -> run_columnar ?pool ~impl:`Kernel c) in
+      let identical =
+        tables_identical row_out interp_out && tables_identical row_out kernel_out
+      in
+      let keyed = run_keyed ~domains ~rows ~seed in
+      { rows; row_path; interp_path; kernel_path; identical; keyed })
+
+let total p = p.select_t.seconds +. p.extend_t.seconds +. p.group_t.seconds
+let total_alloc p =
+  p.select_t.alloc_bytes +. p.extend_t.alloc_bytes +. p.group_t.alloc_bytes
+
+let rows_per_second r p =
+  let t = total p in
+  if t > 0. then float_of_int r.rows /. t else infinity
+
+let speedup_vs_interp r = rows_per_second r r.kernel_path /. rows_per_second r r.interp_path
+let speedup_vs_rows r = rows_per_second r r.kernel_path /. rows_per_second r r.row_path
+
+let alloc_reduction_vs_interp r =
+  let k = total_alloc r.kernel_path in
+  if k > 0. then total_alloc r.interp_path /. k else infinity
+
+let print r =
+  let line label p =
+    Printf.printf "  %-18s %10.4f s  %12.3g rows/s  %14.3g bytes\n" label (total p)
+      (rows_per_second r p) (total_alloc p)
+  in
+  Printf.printf "relational-bench: select -> extend -> group_by over %d rows\n\n" r.rows;
+  Printf.printf "  %-18s %12s  %14s  %14s\n" "engine" "wall" "throughput" "allocated";
+  line "row algebra" r.row_path;
+  line (Impl.to_string `Interpreter) r.interp_path;
+  line (Impl.to_string `Kernel) r.kernel_path;
+  Printf.printf "\n  kernel vs interpreter: %.1fx throughput, %.1fx less allocation\n"
+    (speedup_vs_interp r)
+    (alloc_reduction_vs_interp r);
+  Printf.printf "  kernel vs row algebra: %.1fx throughput\n" (speedup_vs_rows r);
+  Printf.printf "  outputs bit-identical across all three engines: %b\n\n" r.identical;
+  print_keyed r.keyed
+
+let gate r =
+  let g = op_speedup r.keyed.group_op and j = op_speedup r.keyed.join_op in
+  if not r.identical then Error "row algebra, interpreter and kernel disagree"
+  else if speedup_vs_interp r < 3. then
+    Error
+      (Printf.sprintf "kernel speedup %.1fx below the 3x acceptance floor"
+         (speedup_vs_interp r))
+  else if not r.keyed.kidentical then
+    Error "packed, boxed and pooled keyed operators disagree"
+  else if g < 2. || j < 2. then
+    Error
+      (Printf.sprintf "packed keyed speedup below the 2x floor (group %.1fx, join %.1fx)"
+         g j)
+  else Ok ()
+
+let emit_keyed ~file ~domains ~seed r =
   let open Mde_bench_emit in
   let op_fields prefix op =
     [
@@ -355,3 +369,5 @@ let emit ?(file = "BENCH_relational.json") ?(domains = 1) ~seed r =
         ("kernel_alloc_reduction_vs_interp", Float (alloc_reduction_vs_interp r));
         ("identical_output", Bool r.identical);
       ])
+  |> ignore;
+  emit_keyed ~file ~domains ~seed r.keyed

@@ -16,7 +16,7 @@
 
     Each stage is timed separately with its [Gc.allocated_bytes] delta.
     All three engines must produce bit-identical group tables
-    ({!result.identical} — callers should fail the run when false). *)
+    ({!result.identical}, checked by {!gate}). *)
 
 type timing = { seconds : float; alloc_bytes : float }
 
@@ -26,46 +26,15 @@ type path = {
   group_t : timing;
 }
 
-type result = {
-  rows : int;
-  row_path : path;  (** legacy row {!Mde.Relational.Algebra} *)
-  interp_path : path;  (** columnar, [~impl:`Interpreter] *)
-  kernel_path : path;  (** columnar, [~impl:`Kernel] *)
-  identical : bool;  (** all three final tables bit-identical *)
-}
-
-val run : ?domains:int -> rows:int -> seed:int -> unit -> result
-(** Execute the benchmark. [domains] > 1 runs the kernel select/extend
-    stages over a shared domain pool; results stay bit-identical. *)
-
-val total : path -> float
-(** Summed wall seconds of the three stages. *)
-
-val rows_per_second : result -> path -> float
-
-val speedup_vs_interp : result -> float
-(** Kernel pipeline throughput over interpreter pipeline throughput —
-    the quantity gated at 3x by the harness. *)
-
-val speedup_vs_rows : result -> float
-
-val alloc_reduction_vs_interp : result -> float
-
-val print : result -> unit
-(** Human-readable table on stdout. *)
-
-val emit : ?file:string -> ?domains:int -> seed:int -> result -> string
-(** Append one entry to [BENCH_relational.json] (via {!Mde_bench_emit});
-    returns the path written. *)
-
 (** {2 Packed key codes}
 
-    The keyed-operator benchmark: group_by / equi_join / distinct /
-    order_by over a star-shaped table (dictionary-coded string dimension
-    key + small int bucket), each run through the packed {!Keycode} path
-    (the default), the boxed [Value.Tbl] path ([~packed:false]) and —
-    with [domains] > 1, for the operators that take a pool — the pooled
-    packed path. All paths must produce bit-identical tables. *)
+    The keyed-operator benchmark, run by {!run} after the pipeline:
+    group_by / equi_join / distinct / order_by over a star-shaped table
+    (dictionary-coded string dimension key + small int bucket), each run
+    through the packed {!Keycode} path (the default), the boxed path
+    ([~packed:false]) and — with [domains] > 1, for the operators that
+    take a pool — the pooled packed path. All paths must produce
+    bit-identical tables. *)
 
 type keyed_op = {
   packed_t : timing;
@@ -82,17 +51,32 @@ type keyed_result = {
   kidentical : bool;  (** packed == boxed == pooled, bit for bit *)
 }
 
-val run_keyed : ?domains:int -> rows:int -> seed:int -> unit -> keyed_result
+type result = {
+  rows : int;
+  row_path : path;  (** legacy row {!Mde.Relational.Algebra} *)
+  interp_path : path;  (** columnar, [~impl:`Interpreter] *)
+  kernel_path : path;  (** columnar, [~impl:`Kernel] *)
+  identical : bool;  (** all three final tables bit-identical *)
+  keyed : keyed_result;  (** the keyed-operator race on the same row count *)
+}
 
-val op_speedup : keyed_op -> float
-(** Packed throughput over boxed throughput for one operator — the
-    harness gates group and join at 2x. *)
+val run : ?domains:int -> rows:int -> seed:int -> unit -> result
+(** Execute the pipeline race, then the keyed-operator race. [domains]
+    > 1 runs the kernel select/extend stages and the pooled keyed
+    operators over a shared domain pool; results stay bit-identical. *)
 
-val op_alloc_reduction : keyed_op -> float
-(** Boxed allocated bytes over packed allocated bytes. *)
+val gate : result -> (unit, string) Result.t
+(** The acceptance gate shared by the bench harness, [mde_cli
+    relational-bench] and CI: the three pipeline engines bit-identical,
+    the kernel pipeline at least 3x the interpreter's throughput, the
+    packed, boxed and pooled keyed operators bit-identical, and packed
+    group_by and equi_join each at least 2x their boxed twins. [Error]
+    carries a one-line reason. *)
 
-val print_keyed : keyed_result -> unit
+val print : result -> unit
+(** Human-readable tables for both races on stdout. *)
 
-val emit_keyed : ?file:string -> ?domains:int -> seed:int -> keyed_result -> string
-(** Append one "relational-keycode" entry to [BENCH_relational.json];
-    returns the path written. *)
+val emit : ?file:string -> ?domains:int -> seed:int -> result -> string
+(** Append a "relational-columnar" and a "relational-keycode" entry to
+    [BENCH_relational.json] (via {!Mde_bench_emit}); returns the path
+    written. *)

@@ -504,10 +504,11 @@ let bundle_bench_cmd =
     Mde_bundle_bench.print result;
     let path = Mde_bundle_bench.emit ~domains ~seed result in
     Printf.printf "recorded in %s\n" path;
-    if not result.Mde_bundle_bench.identical then begin
-      prerr_endline "mde bundle-bench: execution paths disagree";
+    match Mde_bundle_bench.gate result with
+    | Ok () -> ()
+    | Error msg ->
+      prerr_endline ("mde bundle-bench: " ^ msg);
       exit 1
-    end
   in
   let rows =
     Arg.(
@@ -544,18 +545,11 @@ let relational_bench_cmd =
     Mde_relational_bench.print result;
     let path = Mde_relational_bench.emit ~domains ~seed result in
     Printf.printf "recorded in %s\n" path;
-    if not result.Mde_relational_bench.identical then begin
-      prerr_endline "mde relational-bench: engines disagree";
+    match Mde_relational_bench.gate result with
+    | Ok () -> ()
+    | Error msg ->
+      prerr_endline ("mde relational-bench: " ^ msg);
       exit 1
-    end;
-    let keyed = Mde_relational_bench.run_keyed ~domains ~rows ~seed () in
-    Mde_relational_bench.print_keyed keyed;
-    let path = Mde_relational_bench.emit_keyed ~domains ~seed keyed in
-    Printf.printf "recorded in %s\n" path;
-    if not keyed.Mde_relational_bench.kidentical then begin
-      prerr_endline "mde relational-bench: packed and boxed keyed operators disagree";
-      exit 1
-    end
   in
   let rows =
     Arg.(

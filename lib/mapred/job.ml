@@ -15,15 +15,16 @@ let global_records_shuffled () = !global_shuffled
 
 (* Group (key, value) pairs by key, preserving first-seen key order and
    per-key emission order — shared by the combiner and the reduce phase.
-   The defaults reproduce a polymorphic hash table; relational callers
-   pass [Value.Key.hash]/[Value.Key.equal] so NaN and cross-type numeric
-   keys group as one (structural equality matches neither). *)
-let group_pairs ?(hash = Hashtbl.hash) ?(equal = ( = )) pairs =
+   Keys are hashed polymorphically and compared structurally; relational
+   callers key by Keycode group ids instead of boxed values, so NaN and
+   cross-type numeric keys group as one (structural equality on the
+   values matches neither). *)
+let group_pairs pairs =
   let buckets = Hashtbl.create 64 in
   let order = ref [] in
   List.iter
     (fun (k, v) ->
-      let h = hash k in
+      let h = Hashtbl.hash k in
       let bucket =
         match Hashtbl.find_opt buckets h with
         | Some b -> b
@@ -32,7 +33,7 @@ let group_pairs ?(hash = Hashtbl.hash) ?(equal = ( = )) pairs =
           Hashtbl.add buckets h b;
           b
       in
-      match List.find_opt (fun (k', _) -> equal k' k) !bucket with
+      match List.find_opt (fun (k', _) -> k' = k) !bucket with
       | Some (_, vs) -> vs := v :: !vs
       | None ->
         let vs = ref [ v ] in
@@ -41,8 +42,7 @@ let group_pairs ?(hash = Hashtbl.hash) ?(equal = ( = )) pairs =
     pairs;
   List.rev_map (fun (k, vs) -> (k, List.rev !vs)) !order
 
-let map_reduce ?pool ?reduce_partitions ?(hash = Hashtbl.hash) ?(equal = ( = ))
-    ?combine ~map ~reduce input =
+let map_reduce ?pool ?reduce_partitions ?combine ~map ~reduce input =
   let in_parts = Dataset.partitions input in
   let n_reduce =
     match reduce_partitions with
@@ -70,7 +70,7 @@ let map_reduce ?pool ?reduce_partitions ?(hash = Hashtbl.hash) ?(equal = ( = ))
       | Some combiner ->
         List.concat_map
           (fun (k, vs) -> List.map (fun v -> (k, v)) (combiner k vs))
-          (group_pairs ~hash ~equal emitted)
+          (group_pairs emitted)
     in
     (!mapped, to_shuffle)
   in
@@ -86,7 +86,7 @@ let map_reduce ?pool ?reduce_partitions ?(hash = Hashtbl.hash) ?(equal = ( = ))
     (fun src_part (_, to_shuffle) ->
       List.iter
         (fun (k, v) ->
-          let dest = hash k mod n_reduce in
+          let dest = Hashtbl.hash k mod n_reduce in
           if dest <> src_part then begin
             incr records_shuffled;
             incr global_shuffled
@@ -99,7 +99,7 @@ let map_reduce ?pool ?reduce_partitions ?(hash = Hashtbl.hash) ?(equal = ( = ))
   let reduced_parts =
     Mde_par.Pool.map ?pool ~site:"mapred.reduce"
       (fun bucket ->
-        let grouped = group_pairs ~hash ~equal (List.rev !bucket) in
+        let grouped = group_pairs (List.rev !bucket) in
         let outputs =
           List.concat_map (fun (k, vs) -> reduce k vs) grouped
         in
@@ -116,7 +116,7 @@ let map_reduce ?pool ?reduce_partitions ?(hash = Hashtbl.hash) ?(equal = ( = ))
       partitions = n_reduce;
     } )
 
-let equi_join ?pool ?partitions ?hash ?equal ~left_key ~right_key left right =
+let equi_join ?pool ?partitions ~left_key ~right_key left right =
   (* Tag records by side, union the datasets, shuffle on the key, and
      cross the sides within each reduce group. *)
   let tagged =
@@ -130,7 +130,7 @@ let equi_join ?pool ?partitions ?hash ?equal ~left_key ~right_key left right =
     | Some p -> p
     | None -> Dataset.partition_count left + Dataset.partition_count right
   in
-  map_reduce ?pool ~reduce_partitions ?hash ?equal
+  map_reduce ?pool ~reduce_partitions
     ~map:(fun tagged_record ->
       match tagged_record with
       | `Left a -> [ (left_key a, `Left a) ]

@@ -17,23 +17,17 @@ type stats = {
 
 val pp_stats : Format.formatter -> stats -> unit
 
-val group_pairs :
-  ?hash:('k -> int) ->
-  ?equal:('k -> 'k -> bool) ->
-  ('k * 'v) list ->
-  ('k * 'v list) list
+val group_pairs : ('k * 'v) list -> ('k * 'v list) list
 (** Group pairs by key, preserving first-seen key order and per-key
     emission order — the grouping used by the combiner and reduce
-    phases. Defaults ([Hashtbl.hash]/structural [=]) reproduce a
-    polymorphic hash table; relational callers pass
-    [Value.Key.hash]/[Value.Key.equal] so NaN and cross-type numeric
-    keys form one group (see {!Reljob}). *)
+    phases. Keys hash with [Hashtbl.hash] and compare with structural
+    [=], as in a polymorphic hash table; relational callers key by
+    {!Mde_relational.Keycode.group_ids} ids instead, so NaN and
+    cross-type numeric keys form one group (see {!Reljob}). *)
 
 val map_reduce :
   ?pool:Mde_par.Pool.t ->
   ?reduce_partitions:int ->
-  ?hash:('k -> int) ->
-  ?equal:('k -> 'k -> bool) ->
   ?combine:('k -> 'v list -> 'v list) ->
   map:('a -> ('k * 'v) list) ->
   reduce:('k -> 'v list -> 'c list) ->
@@ -45,8 +39,7 @@ val map_reduce :
     as input; must be positive or [Invalid_argument] is raised), group
     values per key preserving emission order, reduce. Within each reduce
     partition, key groups are processed in a deterministic (hash-bucket,
-    then first-seen) order. [?hash]/[?equal] override the key equivalence
-    used by the shuffle and the grouping, as in {!group_pairs}.
+    then first-seen) order. Keys are grouped as in {!group_pairs}.
 
     A record is charged to the shuffle only when it lands in a reduce
     partition different from the input partition that emitted it —
@@ -61,8 +54,6 @@ val map_reduce :
 val equi_join :
   ?pool:Mde_par.Pool.t ->
   ?partitions:int ->
-  ?hash:('k -> int) ->
-  ?equal:('k -> 'k -> bool) ->
   left_key:('a -> 'k) ->
   right_key:('b -> 'k) ->
   'a Dataset.t ->

@@ -4,12 +4,12 @@
 
     Tables enter as row datasets ([Columnar.of_table]/[to_table] bridge
     the columnar engine) and run through the same shuffle/group/sort
-    machinery as every other job, with two guarantees the generic
-    defaults cannot give:
+    machinery as every other job, with two guarantees that keying on
+    the boxed values cannot give:
 
-    - keys use [Value.Key.hash]/[Value.Key.equal], so NaN group keys
-      form one group and Int/Float keys match numerically, exactly as
-      the columnar and row engines behave;
+    - rows shuffle by their {!Mde_relational.Keycode.group_ids} group
+      id, so NaN group keys form one group and Int/Float keys match
+      numerically, exactly as the columnar and row engines behave;
     - group members are folded through {!Algebra}'s shared accumulators
       in original row order, so per-group aggregate values are
       bit-identical to {!Algebra.group_by}, pooled or not. *)

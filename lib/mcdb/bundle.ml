@@ -217,50 +217,42 @@ let extend ?pool ?(impl = `Kernel) defs t =
 
 (* --- join ----------------------------------------------------------- *)
 
-let det_key_exn t idxs i =
-  List.map
-    (fun j ->
-      let c = t.columns.(j) in
-      if Column.det c then Column.value c i 0
-      else invalid_arg "Bundle: key column is uncertain")
-    idxs
+(* Keys must be deterministic: checked once, before any keying work. *)
+let det_keys_exn t names =
+  Array.of_list
+    (List.map
+       (fun name ->
+         let c = t.columns.(Schema.column_index t.schema name) in
+         if Column.det c then c else invalid_arg "Bundle: key column is uncertain")
+       names)
 
 let join ~on left right =
   if left.n_reps <> right.n_reps then
     invalid_arg "Bundle.join: repetition counts differ";
-  let ls = left.schema and rs = right.schema in
-  let out_schema = Schema.concat ls rs in
-  let l_idx = List.map (fun (l, _) -> Schema.column_index ls l) on in
-  let r_idx = List.map (fun (_, r) -> Schema.column_index rs r) on in
-  (* NaN-safe build side: keys hash via [Value.hash]. *)
-  let build = Value.Tbl.create (max 16 right.n_rows) in
-  for j = 0 to right.n_rows - 1 do
-    let key = det_key_exn right r_idx j in
-    if not (List.exists Value.is_null key) then Value.Tbl.add build key j
-  done;
-  let pairs = ref [] in
-  for i = 0 to left.n_rows - 1 do
-    let key = det_key_exn left l_idx i in
-    if not (List.exists Value.is_null key) then
-      (* find_all returns most-recent first; restore build order. *)
-      List.iter
-        (fun j -> pairs := (i, j) :: !pairs)
-        (List.rev (Value.Tbl.find_all build key))
-  done;
-  let pairs = Array.of_list (List.rev !pairs) in
-  let n_out = Array.length pairs in
-  let li = Array.map fst pairs and ri = Array.map snd pairs in
+  let lk = det_keys_exn left (List.map fst on) in
+  let rk = det_keys_exn right (List.map snd on) in
+  (* Build right, probe left: Algebra.equi_join's pair order. *)
+  let li, ri =
+    Keycode.join_pairs ~packed:true ~build_rows:right.n_rows ~probe_rows:left.n_rows rk
+      lk
+  in
+  let n_out = Array.length li in
   let columns =
     Array.append
       (Array.map (fun c -> Column.gather c li) left.columns)
       (Array.map (fun c -> Column.gather c ri) right.columns)
   in
   let presence = Bitset.create ~rows:n_out ~reps:left.n_reps false in
-  Array.iteri
-    (fun k (i, j) ->
-      Bitset.and_rows ~dst:presence k ~a:left.presence i ~b:right.presence j)
-    pairs;
-  { schema = out_schema; n_reps = left.n_reps; n_rows = n_out; columns; presence }
+  for k = 0 to n_out - 1 do
+    Bitset.and_rows ~dst:presence k ~a:left.presence li.(k) ~b:right.presence ri.(k)
+  done;
+  {
+    schema = Schema.concat left.schema right.schema;
+    n_reps = left.n_reps;
+    n_rows = n_out;
+    columns;
+    presence;
+  }
 
 (* --- aggregate / fused query ---------------------------------------- *)
 
@@ -279,7 +271,7 @@ type pred_eval = P_none | P_cell of (int -> int -> bool) | P_interp of Expr.t
 type agg_eval = A_count | A_cell of Kernel.cell | A_interp of Expr.t
 
 let fused ?pool ~impl t ~pred ~defs ~keys ~aggs =
-  let key_idx = List.map (Schema.column_index t.schema) keys in
+  let key_cols = det_keys_exn t keys in
   let ext_schema =
     match defs with
     | [] -> t.schema
@@ -369,68 +361,15 @@ let fused ?pool ~impl t ~pred ~defs ~keys ~aggs =
       agg_counts = Array.init n_aggs (fun _ -> Array.make t.n_reps 0);
     }
   in
-  (* Keying: packed Keycode words when every key column encodes, the
-     boxed Value.Tbl otherwise. Group order is first-seen either way,
-     and each group's key values are read back from its first row, so
-     the two strategies are bit-identical. An uncertain key column makes
-     [Keycode.of_columns] refuse (it requires det storage), which lands
-     on the boxed path where [det_key_exn] raises exactly as before. *)
-  let enc =
-    match keys with
-    | [] -> None
-    | _ ->
-      Keycode.of_columns [ Array.of_list (List.map (fun j -> t.columns.(j)) key_idx) ]
+  (* Group ids in first-seen order; each group's key values are read
+     back from its first row. *)
+  let { Keycode.ids; firsts } =
+    Keycode.group_ids ?pool ~packed:true ~n_rows:t.n_rows key_cols
   in
-  let state_for, finished =
-    match enc with
-    | Some enc ->
-      let coded = Keycode.encode ?pool enc ~side:0 in
-      let tbl = Keycode.tbl_create ~hint:(max 16 (t.n_rows / 8)) coded.keys in
-      (* The [fresh ()] fill is a dummy shared by unused slots only;
-         every live id gets its own state on first sight. *)
-      let states = ref (Array.make 16 (fresh ())) in
-      let rep_rows = ref (Array.make 16 0) in
-      let n_groups = ref 0 in
-      let state_for i =
-        let id = Keycode.tbl_add tbl i in
-        if id = !n_groups then begin
-          if id = Array.length !states then begin
-            let grow fill a =
-              let bigger = Array.make (2 * Array.length a) fill in
-              Array.blit a 0 bigger 0 (Array.length a);
-              bigger
-            in
-            states := grow (fresh ()) !states;
-            rep_rows := grow 0 !rep_rows
-          end;
-          !states.(id) <- fresh ();
-          !rep_rows.(id) <- i;
-          incr n_groups
-        end;
-        !states.(id)
-      in
-      let finished () =
-        List.init !n_groups (fun g -> (det_key_exn t key_idx !rep_rows.(g), !states.(g)))
-      in
-      (state_for, finished)
-    | None ->
-      let groups : group_state Value.Tbl.t = Value.Tbl.create 16 in
-      let order = ref [] in
-      let state_for i =
-        let key = det_key_exn t key_idx i in
-        match Value.Tbl.find_opt groups key with
-        | Some s -> s
-        | None ->
-          let s = fresh () in
-          Value.Tbl.add groups key s;
-          order := key :: !order;
-          s
-      in
-      let finished () =
-        List.map (fun key -> (key, Value.Tbl.find groups key)) (List.rev !order)
-      in
-      (state_for, finished)
-  in
+  (* A global aggregate over no rows still reports its one group. *)
+  let n_groups = if keys = [] then max 1 (Array.length firsts) else Array.length firsts in
+  let states = Array.init n_groups (fun _ -> fresh ()) in
+  let state_for i = states.(ids.(i)) in
   let accumulate state a r x =
     state.sums.(a).(r) <- state.sums.(a).(r) +. x;
     if x < state.mins.(a).(r) then state.mins.(a).(r) <- x;
@@ -516,7 +455,8 @@ let fused ?pool ~impl t ~pred ~defs ~keys ~aggs =
         done
       done
   end;
-  let finish (key, state) =
+  let finish g =
+    let state = states.(g) in
     let per_agg =
       Array.of_list
         (List.mapi
@@ -534,23 +474,9 @@ let fused ?pool ~impl t ~pred ~defs ~keys ~aggs =
                    if state.agg_counts.(a).(r) = 0 then nan else state.maxs.(a).(r)))
            aggs)
     in
-    (Array.of_list key, per_agg)
+    (Array.map (fun c -> Column.value c firsts.(g) 0) key_cols, per_agg)
   in
-  let finish_empty_global () =
-    (* No tuples at all and a global group: zero counts/sums, nan moments. *)
-    let per_agg =
-      Array.of_list
-        (List.map
-           (fun (_, agg) ->
-             Array.init t.n_reps (fun _ ->
-                 match agg with Count | Sum _ -> 0. | Avg _ | Min _ | Max _ -> nan))
-           aggs)
-    in
-    ([||], per_agg)
-  in
-  match (finished (), keys) with
-  | [], [] -> [ finish_empty_global () ]
-  | found, _ -> List.map finish found
+  List.init n_groups finish
 
 let aggregate ?pool ?(impl = `Kernel) ?(keys = []) aggs t =
   instrumented ~cells:(t.n_rows * t.n_reps) (fun () ->

@@ -86,11 +86,15 @@ val extend :
     observed constant across repetitions. *)
 
 val join : on:(string * string) list -> t -> t -> t
-(** Hash equi-join on deterministic key columns (keyed by
-    {!Value.hash}, so NaN keys match themselves); output presence is
-    the byte-wise AND of the inputs' presence. Raises
-    [Invalid_argument] if a key column is uncertain or the repetition
-    counts differ. *)
+(** Hash equi-join on deterministic key columns, build side right,
+    probe side left: the pairs come from {!Keycode.join_pairs} (packed
+    codes when the keys encode, boxed {!Value.Key} equality otherwise),
+    so NaN keys match themselves, [Int 2] meets [Float 2.], Null keys
+    never match, and realizing repetition [r] of the result gives
+    exactly {!Algebra.equi_join} over realization [r] of the inputs.
+    Output presence is the byte-wise AND of the inputs' presence.
+    Raises [Invalid_argument] if a key column is uncertain or the
+    repetition counts differ. *)
 
 type agg =
   | Count
@@ -107,8 +111,9 @@ val aggregate :
   t ->
   (Table.row * float array array) list
 (** Grouped aggregation in one pass: for each group (keyed on
-    deterministic columns; [?keys] defaults to none, i.e. one global
-    group) and each named aggregate, the per-repetition aggregate values
+    deterministic columns through {!Keycode.group_ids}, in first-seen
+    order; [?keys] defaults to none, i.e. one global group) and each
+    named aggregate, the per-repetition aggregate values
     (array of length [n_reps]). Empty groups in a repetition yield [nan]
     for Avg/Min/Max and 0 for Count/Sum. With [?pool], evaluation is
     row-chunked and the accumulation replayed in row order, so grouped

@@ -104,141 +104,31 @@ let extend ?pool ?(impl = (`Kernel : impl)) defs t =
     cols = Array.append t.cols (Array.of_list (List.map build defs));
   }
 
-(* A growable unboxed int buffer: the join's per-chunk match lists. *)
-type ibuf = { mutable ib : int array; mutable ilen : int }
+(* --- keyed operators ---------------------------------------------------
 
-let ibuf_create () = { ib = Array.make 64 0; ilen = 0 }
+   Which rows share a key is answered by [Keycode.group_ids] and
+   [Keycode.join_pairs]; these operators only accumulate and gather.
+   [packed = false] selects Keycode's boxed path: the oracle the packed
+   path is checked against. *)
 
-let ibuf_push b v =
-  if b.ilen = Array.length b.ib then begin
-    let bigger = Array.make (2 * b.ilen) 0 in
-    Array.blit b.ib 0 bigger 0 b.ilen;
-    b.ib <- bigger
-  end;
-  b.ib.(b.ilen) <- v;
-  b.ilen <- b.ilen + 1
-
-let no_nulls = function
-  | None -> fun _ -> false
-  | Some (flags : bool array) -> fun i -> flags.(i)
+let key_cols t names =
+  Array.of_list (List.map (fun n -> t.cols.(Schema.column_index t.tschema n)) names)
 
 let equi_join ?pool ?(packed = true) ~on l r =
-  let out_schema = Schema.concat l.tschema r.tschema in
-  let l_idx = List.map (fun (a, _) -> Schema.column_index l.tschema a) on in
-  let r_idx = List.map (fun (_, b) -> Schema.column_index r.tschema b) on in
-  let emit li ri =
-    {
-      tschema = out_schema;
-      n_rows = Array.length li;
-      cols =
-        Array.append
-          (Array.map (fun c -> Column.gather c li) l.cols)
-          (Array.map (fun c -> Column.gather c ri) r.cols);
-    }
-  in
   (* Build right, probe left in row order, emit matches in build order —
-     the exact row order Algebra.equi_join produces. Null keys never
-     match. *)
-  let key_cols t idxs = Array.of_list (List.map (fun j -> t.cols.(j)) idxs) in
-  let enc =
-    if packed && on <> [] then
-      Keycode.of_columns [ key_cols r r_idx; key_cols l l_idx ]
-    else None
+     the exact row order Algebra.equi_join produces. *)
+  let lk = key_cols l (List.map fst on) and rk = key_cols r (List.map snd on) in
+  let li, ri =
+    Keycode.join_pairs ?pool ~packed ~build_rows:r.n_rows ~probe_rows:l.n_rows rk lk
   in
-  match enc with
-  | Some enc ->
-    (* Packed path: one unboxed key per row, an open-addressing build
-       table, and build-order match chains (head/next/tail per key id)
-       replacing the boxed Value.Tbl + find_all + List.rev churn. *)
-    let bcoded = Keycode.encode ?pool enc ~side:0 in
-    let pcoded = Keycode.encode ?pool enc ~side:1 in
-    let bnull = no_nulls bcoded.null_rows and pnull = no_nulls pcoded.null_rows in
-    let tbl = Keycode.tbl_create ~hint:r.n_rows bcoded.keys in
-    let head = ref (Array.make (max 16 (r.n_rows / 4)) (-1)) in
-    let tail = ref (Array.make (Array.length !head) (-1)) in
-    let next = Array.make r.n_rows (-1) in
-    for j = 0 to r.n_rows - 1 do
-      if not (bnull j) then begin
-        let id = Keycode.tbl_add tbl j in
-        if id >= Array.length !head then begin
-          let grow a =
-            let bigger = Array.make (2 * Array.length a) (-1) in
-            Array.blit a 0 bigger 0 (Array.length a);
-            bigger
-          in
-          head := grow !head;
-          tail := grow !tail
-        end;
-        if !head.(id) < 0 then !head.(id) <- j else next.(!tail.(id)) <- j;
-        !tail.(id) <- j
-      end
-    done;
-    let head = !head in
-    let probe_into buf lo hi =
-      for i = lo to hi - 1 do
-        if not (pnull i) then begin
-          let id = Keycode.tbl_find tbl pcoded.keys i in
-          if id >= 0 then begin
-            let j = ref head.(id) in
-            while !j >= 0 do
-              ibuf_push buf i;
-              ibuf_push buf !j;
-              j := next.(!j)
-            done
-          end
-        end
-      done
-    in
-    let bufs =
-      match pool with
-      | None ->
-        let buf = ibuf_create () in
-        probe_into buf 0 l.n_rows;
-        [| buf |]
-      | Some p ->
-        (* Deterministic chunk descriptors, one private buffer each:
-           every row's matches land in its own chunk's buffer, and the
-           in-order concatenation below restores exactly the sequential
-           emission order whatever the chunk count. *)
-        let n_chunks = min (max 1 l.n_rows) (Mde_par.Pool.domains p * 8) in
-        let per = (l.n_rows + n_chunks - 1) / n_chunks in
-        let bufs = Array.init n_chunks (fun _ -> ibuf_create ()) in
-        Mde_par.Pool.parallel_iter p ~site:"columnar.join.probe" ~chunk:1 n_chunks
-          (fun c -> probe_into bufs.(c) (c * per) (min l.n_rows ((c + 1) * per)));
-        bufs
-    in
-    let n_pairs = Array.fold_left (fun n b -> n + (b.ilen / 2)) 0 bufs in
-    let li = Array.make n_pairs 0 and ri = Array.make n_pairs 0 in
-    let k = ref 0 in
-    Array.iter
-      (fun b ->
-        let p = ref 0 in
-        while !p < b.ilen do
-          li.(!k) <- b.ib.(!p);
-          ri.(!k) <- b.ib.(!p + 1);
-          incr k;
-          p := !p + 2
-        done)
-      bufs;
-    emit li ri
-  | None ->
-    let key_of t idxs i = List.map (fun j -> Column.value t.cols.(j) i 0) idxs in
-    let build = Value.Tbl.create (max 16 r.n_rows) in
-    for j = 0 to r.n_rows - 1 do
-      let key = key_of r r_idx j in
-      if not (List.exists Value.is_null key) then Value.Tbl.add build key j
-    done;
-    let pairs = ref [] in
-    for i = 0 to l.n_rows - 1 do
-      let key = key_of l l_idx i in
-      if not (List.exists Value.is_null key) then
-        (* find_all returns most-recent first; restore build order. *)
-        List.iter
-          (fun j -> pairs := (i, j) :: !pairs)
-          (List.rev (Value.Tbl.find_all build key))
-    done;
-    let pairs = Array.of_list (List.rev !pairs) in
-    emit (Array.map fst pairs) (Array.map snd pairs)
+  {
+    tschema = Schema.concat l.tschema r.tschema;
+    n_rows = Array.length li;
+    cols =
+      Array.append
+        (Array.map (fun c -> Column.gather c li) l.cols)
+        (Array.map (fun c -> Column.gather c ri) r.cols);
+  }
 
 (* --- grouped aggregation -------------------------------------------- *)
 
@@ -382,94 +272,38 @@ let group_by ?pool ?(packed = true) ?(impl = (`Kernel : impl)) ~keys ~aggs t =
        to the row oracle itself — identical by construction. *)
     of_table (Algebra.group_by ~keys ~aggs (to_table t))
   | Some feeders ->
-    let key_cols =
-      Array.of_list (List.map (fun k -> t.cols.(Schema.column_index t.tschema k)) keys)
-    in
+    let key_cols = key_cols t keys in
     let key_schema_cols = List.map (fun k -> (k, Schema.column_type t.tschema k)) keys in
     let out_schema =
       Schema.of_list
         (key_schema_cols @ List.map (fun (n, a) -> (n, Algebra.agg_type a)) aggs)
     in
-    let n_aggs = Array.length feeders in
-    let enc = if packed then Keycode.of_columns [ key_cols ] else None in
-    (match enc with
-    | Some enc ->
-      (* Packed path: one unboxed key per row replaces the per-row boxed
-         [Value.t list]; group ids come out of the open-addressing table
-         in first-seen order, accumulators still feed in row order, so
-         the output is the generic path's bit for bit. Output columns
-         are built directly — keys by gathering each group's first
-         (representative) row, aggregates from the finishers. *)
-      let coded = Keycode.encode ?pool enc ~side:0 in
-      let tbl = Keycode.tbl_create ~hint:(max 16 (t.n_rows / 8)) coded.keys in
-      let accs_store = ref (Array.make 16 [||]) in
-      let rep_store = ref (Array.make 16 0) in
-      let n_groups = ref 0 in
-      for i = 0 to t.n_rows - 1 do
-        let id = Keycode.tbl_add tbl i in
-        if id = !n_groups then begin
-          if id = Array.length !accs_store then begin
-            let grow fill a =
-              let bigger = Array.make (2 * Array.length a) fill in
-              Array.blit a 0 bigger 0 (Array.length a);
-              bigger
-            in
-            accs_store := grow [||] !accs_store;
-            rep_store := grow 0 !rep_store
-          end;
-          !accs_store.(id) <- Array.init n_aggs (fun _ -> fresh_kacc ());
-          !rep_store.(id) <- i;
-          incr n_groups
-        end;
-        let accs = !accs_store.(id) in
-        Array.iteri (fun a f -> f.feed accs.(a) i) feeders
-      done;
-      let n_groups = !n_groups in
-      let accs_store = !accs_store in
-      let rep_idx = Array.sub !rep_store 0 n_groups in
-      let key_out = Array.map (fun c -> Column.gather c rep_idx) key_cols in
-      let agg_out =
-        Array.of_list
-          (List.mapi
-             (fun a (_, agg) ->
-               Column.of_det_cells ~ty:(Algebra.agg_type agg) ~rows:n_groups ~reps:1
-                 (fun g -> feeders.(a).finish accs_store.(g).(a)))
-             aggs)
-      in
-      { tschema = out_schema; n_rows = n_groups; cols = Array.append key_out agg_out }
-    | None ->
-      let groups : kacc array Value.Tbl.t = Value.Tbl.create 64 in
-      let order = ref [] in
-      for i = 0 to t.n_rows - 1 do
-        let key = Array.to_list (Array.map (fun c -> Column.value c i 0) key_cols) in
-        let accs =
-          match Value.Tbl.find_opt groups key with
-          | Some accs -> accs
-          | None ->
-            let accs = Array.init n_aggs (fun _ -> fresh_kacc ()) in
-            Value.Tbl.add groups key accs;
-            order := key :: !order;
-            accs
-        in
-        Array.iteri (fun a f -> f.feed accs.(a) i) feeders
-      done;
-      let keys_in_order =
-        match (!order, keys) with
-        | [], [] ->
-          (* Global aggregate over an empty table still emits one row. *)
-          Value.Tbl.add groups [] (Array.init n_aggs (fun _ -> fresh_kacc ()));
-          [ [] ]
-        | found, _ -> List.rev found
-      in
-      let out_rows =
-        List.map
-          (fun key ->
-            let accs = Value.Tbl.find groups key in
-            Array.of_list
-              (key @ Array.to_list (Array.mapi (fun a f -> f.finish accs.(a)) feeders)))
-          keys_in_order
-      in
-      of_table (Table.create out_schema out_rows))
+    let { Keycode.ids; firsts } =
+      Keycode.group_ids ?pool ~packed ~n_rows:t.n_rows key_cols
+    in
+    (* A global aggregate over an empty table still emits one row. *)
+    let n_groups =
+      if keys = [] then max 1 (Array.length firsts) else Array.length firsts
+    in
+    let accs =
+      Array.init n_groups (fun _ -> Array.map (fun _ -> fresh_kacc ()) feeders)
+    in
+    (* Accumulators feed in row order, so float sums match the oracle's. *)
+    for i = 0 to t.n_rows - 1 do
+      let group = accs.(ids.(i)) in
+      Array.iteri (fun a f -> f.feed group.(a) i) feeders
+    done;
+    (* Keys come from each group's first row, aggregates from the finishers. *)
+    let key_out = Array.map (fun c -> Column.gather c firsts) key_cols in
+    let agg_out =
+      Array.of_list
+        (List.mapi
+           (fun a (_, agg) ->
+             Column.of_det_cells ~ty:(Algebra.agg_type agg) ~rows:n_groups ~reps:1
+               (fun g -> feeders.(a).finish accs.(g).(a)))
+           aggs)
+    in
+    { tschema = out_schema; n_rows = n_groups; cols = Array.append key_out agg_out }
 
 (* --- ordering, distinct, limit -------------------------------------- *)
 
@@ -505,9 +339,7 @@ let slot_compare col =
   | Column.Vvalues { data; _ } -> fun i j -> Value.compare data.(i) data.(j)
 
 let order_by ?(descending = false) ?(packed = true) names t =
-  let cols =
-    Array.of_list (List.map (fun k -> t.cols.(Schema.column_index t.tschema k)) names)
-  in
+  let cols = key_cols t names in
   match
     if packed then Keycode.sort_perm ~descending cols ~n_rows:t.n_rows else None
   with
@@ -541,35 +373,8 @@ let order_by ?(descending = false) ?(packed = true) names t =
   gather t perm
 
 let distinct ?pool ?(packed = true) t =
-  let enc =
-    if packed && Array.length t.cols > 0 then Keycode.of_columns [ t.cols ] else None
-  in
-  match enc with
-  | Some enc ->
-    (* A row is kept iff its packed key is fresh; dense first-seen ids
-       make "fresh" one integer comparison. Null cells are ordinary key
-       codes here — Null = Null under Value.Key, exactly as the boxed
-       path's [Value.Tbl.mem]. *)
-    let coded = Keycode.encode ?pool enc ~side:0 in
-    let tbl = Keycode.tbl_create ~hint:(max 16 (t.n_rows / 4)) coded.keys in
-    let keep = ibuf_create () in
-    for i = 0 to t.n_rows - 1 do
-      if Keycode.tbl_add tbl i = keep.ilen then ibuf_push keep i
-    done;
-    gather t (Array.sub keep.ib 0 keep.ilen)
-  | None ->
-    let seen = Value.Tbl.create 64 in
-    let idx = ref [] in
-    let n = ref 0 in
-    for i = 0 to t.n_rows - 1 do
-      let key = Array.to_list (row t i) in
-      if not (Value.Tbl.mem seen key) then begin
-        Value.Tbl.add seen key ();
-        idx := i :: !idx;
-        incr n
-      end
-    done;
-    gather t (Array.of_list (List.rev !idx))
+  (* Null cells are ordinary keys here: Null = Null under Value.Key. *)
+  gather t (Keycode.group_ids ?pool ~packed ~n_rows:t.n_rows t.cols).firsts
 
 let limit n t =
   (* Not an assert: validation must survive [-noassert] builds. *)

@@ -46,13 +46,12 @@ val equi_join :
   ?pool:Mde_par.Pool.t -> ?packed:bool -> on:(string * string) list -> t -> t -> t
 (** Inner hash join, build side right, probe side left — the plan
     executor's join. Row order and null-key behavior match
-    {!Algebra.equi_join}. When the key columns encode ([packed],
-    default [true]), both sides hash one unboxed {!Keycode} word (or
-    packed bytes) per row through an open-addressing table with
-    build-order match chains; otherwise the boxed [Value.Tbl] path
-    runs. With [?pool] the key encoding and the probe are row-chunked
-    in parallel — per-chunk match buffers concatenate in row order, so
-    the output is bit-identical whatever the chunking. *)
+    {!Algebra.equi_join}: the pairs come from {!Keycode.join_pairs},
+    then both sides are gathered. [packed] (default [true]) hands
+    Keycode the encoder, which it uses when the key columns encode;
+    [~packed:false] selects Keycode's boxed path, the oracle. With
+    [?pool] the key encoding and the probe are row-chunked in parallel
+    and the output is bit-identical whatever the chunking. *)
 
 val group_by :
   ?pool:Mde_par.Pool.t ->
@@ -67,10 +66,9 @@ val group_by :
     yields one global row even on empty input. Under [`Kernel] the
     Sum/Avg/Std/Count paths accumulate unboxed; if any aggregate's
     source fails to compile the whole call drops to the row oracle.
-    When the key columns encode ([packed], default [true]) each row's
-    composite key is one {!Keycode} word instead of a boxed list, and
-    the output columns are built directly (keys gathered from each
-    group's first row). With [?pool] the key encoding and the aggregate
+    Groups come from {!Keycode.group_ids} ([packed] as in
+    {!equi_join}); keys are gathered from each group's first row. With
+    [?pool] the key encoding and the aggregate
     sources are evaluated row-chunked in parallel into scratch buffers;
     accumulation always replays sequentially in row order, so pooled
     results are bit-identical to sequential ones. *)
@@ -84,8 +82,9 @@ val order_by : ?descending:bool -> ?packed:bool -> string list -> t -> t
     produce the same permutation. *)
 
 val distinct : ?pool:Mde_par.Pool.t -> ?packed:bool -> t -> t
-(** First occurrence of each distinct row, in row order; packed all-column
-    {!Keycode} keys when they encode, boxed [Value.Tbl] otherwise. *)
+(** First occurrence of each distinct row, in row order: the first row
+    of each {!Keycode.group_ids} group over all columns ([packed] as in
+    {!equi_join}). *)
 
 val limit : int -> t -> t
 (** Raises [Invalid_argument] on a negative count. *)

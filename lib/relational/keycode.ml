@@ -1,7 +1,7 @@
 (* Packed key codes. See keycode.mli for the semantic contract; the
    short version is that every encoding below must be injective w.r.t.
    Value.Key equality over the cells it covers, or [of_columns] must
-   refuse and send the caller back to the boxed Value.Tbl path. *)
+   refuse so that [group_ids]/[join_pairs] take their boxed path. *)
 
 module Bitset = Column.Bitset
 
@@ -418,7 +418,169 @@ let tbl_find t probe i =
     match Hashtbl.find_opt bt.bt keys.(i) with Some id -> id | None -> -1)
   | _ -> invalid_arg "Keycode.tbl_find: probe keys from a different encoder"
 
-let tbl_count = function Tint it -> it.count | Tbytes bt -> bt.bcount
+(* --- the keyed core: group ids and join pairs ------------------------ *)
+
+(* Every keyed operator asks one question: is this row's composite key
+   new, and which earlier rows share it? Below, that question is
+   answered once, through the packed table when the encoder accepts the
+   columns and through the boxed [Value.Tbl] otherwise (the encoder
+   refused, or the caller asked for the oracle with [~packed:false]). *)
+
+type groups = { ids : int array; firsts : int array }
+
+(* A growable unboxed int buffer: first rows and per-chunk match lists. *)
+type ibuf = { mutable ib : int array; mutable ilen : int }
+
+let ibuf_create () = { ib = Array.make 64 0; ilen = 0 }
+
+let ibuf_push b v =
+  if b.ilen = Array.length b.ib then begin
+    let bigger = Array.make (2 * b.ilen) 0 in
+    Array.blit b.ib 0 bigger 0 b.ilen;
+    b.ib <- bigger
+  end;
+  b.ib.(b.ilen) <- v;
+  b.ilen <- b.ilen + 1
+
+let ibuf_contents b = Array.sub b.ib 0 b.ilen
+
+let boxed_key cols i = Array.to_list (Array.map (fun c -> Column.value c i 0) cols)
+
+let group_ids ?pool ~packed ~n_rows cols =
+  if Array.length cols = 0 then
+    (* No key columns: every row shares the one empty key. *)
+    { ids = Array.make n_rows 0; firsts = (if n_rows > 0 then [| 0 |] else [||]) }
+  else begin
+    let ids = Array.make n_rows 0 in
+    let firsts = ibuf_create () in
+    let assign i id =
+      if id = firsts.ilen then ibuf_push firsts i;
+      ids.(i) <- id
+    in
+    (match if packed then of_columns [ cols ] else None with
+    | Some enc ->
+      let coded = encode ?pool enc ~side:0 in
+      let tbl = tbl_create ~hint:(max 16 (n_rows / 8)) coded.keys in
+      for i = 0 to n_rows - 1 do
+        assign i (tbl_add tbl i)
+      done
+    | None ->
+      let seen : int Value.Tbl.t = Value.Tbl.create 64 in
+      for i = 0 to n_rows - 1 do
+        let key = boxed_key cols i in
+        match Value.Tbl.find_opt seen key with
+        | Some id -> assign i id
+        | None ->
+          let id = firsts.ilen in
+          Value.Tbl.add seen key id;
+          assign i id
+      done);
+    { ids; firsts = ibuf_contents firsts }
+  end
+
+let no_nulls = function
+  | None -> fun _ -> false
+  | Some (flags : bool array) -> fun i -> flags.(i)
+
+(* Packed join: build-order match chains (head/next/tail per key id)
+   over the open-addressing table, probed row-chunked when pooled. *)
+let packed_pairs ?pool enc ~build_rows ~probe_rows =
+  let bcoded = encode ?pool enc ~side:0 in
+  let pcoded = encode ?pool enc ~side:1 in
+  let bnull = no_nulls bcoded.null_rows and pnull = no_nulls pcoded.null_rows in
+  let tbl = tbl_create ~hint:build_rows bcoded.keys in
+  let head = ref (Array.make (max 16 (build_rows / 4)) (-1)) in
+  let tail = ref (Array.make (Array.length !head) (-1)) in
+  let next = Array.make build_rows (-1) in
+  for j = 0 to build_rows - 1 do
+    if not (bnull j) then begin
+      let id = tbl_add tbl j in
+      if id >= Array.length !head then begin
+        let grow a =
+          let bigger = Array.make (2 * Array.length a) (-1) in
+          Array.blit a 0 bigger 0 (Array.length a);
+          bigger
+        in
+        head := grow !head;
+        tail := grow !tail
+      end;
+      if !head.(id) < 0 then !head.(id) <- j else next.(!tail.(id)) <- j;
+      !tail.(id) <- j
+    end
+  done;
+  let head = !head in
+  let probe_into buf lo hi =
+    for i = lo to hi - 1 do
+      if not (pnull i) then begin
+        let id = tbl_find tbl pcoded.keys i in
+        if id >= 0 then begin
+          let j = ref head.(id) in
+          while !j >= 0 do
+            ibuf_push buf i;
+            ibuf_push buf !j;
+            j := next.(!j)
+          done
+        end
+      end
+    done
+  in
+  let bufs =
+    match pool with
+    | None ->
+      let buf = ibuf_create () in
+      probe_into buf 0 probe_rows;
+      [| buf |]
+    | Some p ->
+      (* Deterministic chunk descriptors, one private buffer each:
+         every row's matches land in its own chunk's buffer, and the
+         in-order concatenation below restores exactly the sequential
+         emission order whatever the chunk count. *)
+      let n_chunks = min (max 1 probe_rows) (Mde_par.Pool.domains p * 8) in
+      let per = (probe_rows + n_chunks - 1) / n_chunks in
+      let bufs = Array.init n_chunks (fun _ -> ibuf_create ()) in
+      Mde_par.Pool.parallel_iter p ~site:"columnar.join.probe" ~chunk:1 n_chunks
+        (fun c -> probe_into bufs.(c) (c * per) (min probe_rows ((c + 1) * per)));
+      bufs
+  in
+  let n_pairs = Array.fold_left (fun n b -> n + (b.ilen / 2)) 0 bufs in
+  let pi = Array.make n_pairs 0 and bi = Array.make n_pairs 0 in
+  let k = ref 0 in
+  Array.iter
+    (fun b ->
+      let p = ref 0 in
+      while !p < b.ilen do
+        pi.(!k) <- b.ib.(!p);
+        bi.(!k) <- b.ib.(!p + 1);
+        incr k;
+        p := !p + 2
+      done)
+    bufs;
+  (pi, bi)
+
+let boxed_pairs ~build ~build_rows ~probe ~probe_rows =
+  let tbl = Value.Tbl.create (max 16 build_rows) in
+  for j = 0 to build_rows - 1 do
+    let key = boxed_key build j in
+    if not (List.exists Value.is_null key) then Value.Tbl.add tbl key j
+  done;
+  let pairs = ref [] in
+  for i = 0 to probe_rows - 1 do
+    let key = boxed_key probe i in
+    if not (List.exists Value.is_null key) then
+      (* find_all returns most-recent first; restore build order. *)
+      List.iter
+        (fun j -> pairs := (i, j) :: !pairs)
+        (List.rev (Value.Tbl.find_all tbl key))
+  done;
+  let pairs = Array.of_list (List.rev !pairs) in
+  (Array.map fst pairs, Array.map snd pairs)
+
+let join_pairs ?pool ~packed ~build_rows ~probe_rows build probe =
+  if Array.length build <> Array.length probe then
+    invalid_arg "Keycode.join_pairs: build and probe key arities differ";
+  match if packed then of_columns [ build; probe ] else None with
+  | Some enc -> packed_pairs ?pool enc ~build_rows ~probe_rows
+  | None -> boxed_pairs ~build ~build_rows ~probe ~probe_rows
 
 (* --- normalized sort keys ------------------------------------------ *)
 

@@ -25,8 +25,16 @@
     Anything the encoder cannot represent injectively — boxed [Vvalues]
     storage, uncertain (non-det) columns, int magnitudes whose float
     image is inexact next to float-typed mates — makes {!of_columns}
-    return [None] and the caller keeps its boxed [Value.Tbl] path, which
-    is the bit-identity oracle anyway. *)
+    return [None].
+
+    This module is also the one place where keyed operators decide how
+    to key: {!group_ids} and {!join_pairs} build the encoder over the
+    key columns they are given and run the packed table when it
+    accepts them, the boxed [Value.Tbl] algorithm otherwise. Data the
+    encoder refuses therefore lands on the boxed path by itself; a
+    caller that wants the boxed path as an oracle passes
+    [~packed:false]. [Columnar], [Bundle] and [Mapred.Reljob] have no
+    keying code of their own. *)
 
 type t
 (** An encoder over one or more aligned sets of key columns ("sides"):
@@ -40,8 +48,8 @@ val of_columns : Column.t array list -> t option
     across sides). Involves one unboxed scan per int component (value
     range, float-image exactness) and a dictionary merge per string
     component. [None] when any component cannot be encoded injectively,
-    and for an empty component list (key-less operators have their own
-    degenerate paths). *)
+    and for an empty component list ({!group_ids} and {!join_pairs}
+    handle key-less calls themselves). *)
 
 type keys =
   | Kint of int array  (** one immediate word per row *)
@@ -61,34 +69,45 @@ val encode : ?pool:Mde_par.Pool.t -> t -> side:int -> coded
     to the sequential one. A single no-null int component is returned
     zero-copy (the column's own storage). *)
 
-(** {2 Key tables}
+(** {2 Group ids and join pairs}
 
-    First-seen id assignment over encoded keys: the hash side of
-    group/join/distinct without any boxing. Int keys go through an
-    open-addressing table (linear probing, multiplicative hashing);
-    bytes keys through a [Hashtbl] keyed by [Bytes]. *)
+    The keyed core of group-by, distinct, equi-join and the MapReduce
+    shuffle. With [~packed:true] and key columns {!of_columns} accepts,
+    packed codes hash through an open-addressing table (linear probing,
+    multiplicative hashing); otherwise boxed [Value.t list] keys hash
+    through {!Value.Tbl}. Both give the same answer, so [~packed:false]
+    is the oracle for [~packed:true]. *)
 
-type tbl
+type groups = {
+  ids : int array;  (** [ids.(i)]: row [i]'s dense group id, in first-seen order *)
+  firsts : int array;  (** [firsts.(g)]: the first row of group [g] *)
+}
 
-val tbl_create : hint:int -> keys -> tbl
-(** A table that will be fed rows of [keys] (the build side). *)
+val group_ids :
+  ?pool:Mde_par.Pool.t -> packed:bool -> n_rows:int -> Column.t array -> groups
+(** [group_ids ~packed ~n_rows cols] groups the rows of the key columns
+    [cols] (deterministic, [n_rows] rows each) by {!Value.Key}
+    equality. Null is an ordinary key here. With no key columns every
+    row is in one group, and an empty input has no groups. [?pool]
+    chunks the key encoding; the id assignment is sequential. *)
 
-val tbl_add : tbl -> int -> int
-(** [tbl_add t i]: the id of build row [i]'s key, inserting it if new.
-    Ids are dense and in first-seen order: a fresh key gets id
-    [tbl_count t] (pre-insertion). *)
-
-val tbl_find : tbl -> keys -> int -> int
-(** [tbl_find t probe i]: the id of probe row [i]'s key, or [-1] if the
-    key was never added. [probe] must come from the same encoder (a
-    different side is the point). *)
-
-val tbl_count : tbl -> int
-(** Number of distinct keys added so far. *)
-
-val int_hash : int -> int
-(** The table's non-negative int mix, exposed for callers that route by
-    packed code (MapReduce shuffle partitioning). *)
+val join_pairs :
+  ?pool:Mde_par.Pool.t ->
+  packed:bool ->
+  build_rows:int ->
+  probe_rows:int ->
+  Column.t array ->
+  Column.t array ->
+  int array * int array
+(** [join_pairs ~packed ~build_rows ~probe_rows build probe] is the
+    equi-join's match list [(probe_idx, build_idx)]: every pair of rows
+    whose keys are {!Value.Key}-equal, in probe order and, within one
+    probe row, in build order — {!Algebra.equi_join}'s output order. A
+    key with any Null component never matches. With no key columns
+    every pair matches. The build and probe sides must have the same
+    number of key columns, else [Invalid_argument]. [?pool] chunks the
+    encoding and the probe; per-chunk buffers concatenate in row order,
+    so the pairs do not depend on the chunking. *)
 
 (** {2 Normalized sort keys} *)
 

@@ -70,14 +70,8 @@ type target = Target.t
 (** What both loops drive: anything that can accept-or-drop a request
     and later deliver responses ({!Target}). [`Dropped] unifies
     {!Server}'s backpressure [`Rejected] and {!Shard}'s typed [`Shed] —
-    the driver counts them as shed either way. (The ad-hoc closure
-    record this type used to be is now the first-class {!Target.t}.) *)
-
-val server_target : Server.t -> target
-  [@@ocaml.deprecated "use Target.of_server"]
-
-val shard_target : Shard.t -> target
-  [@@ocaml.deprecated "use Target.of_shard"]
+    both loops count them as shed either way. Build one with
+    {!Target.of_server} or {!Target.of_shard}. *)
 
 type open_config = {
   arrivals : int;  (** total arrivals to generate *)

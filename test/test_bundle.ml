@@ -485,6 +485,106 @@ let test_plan_samples_validation () =
          Database.plan_samples db (rng ()) ~table:"SBP_DATA" ~reps:4
            { plan with Bundle.aggs = [] }))
 
+(* --- join: per repetition, exactly Algebra.equi_join -------------------- *)
+
+let two53 = 1 lsl 53
+let neg_nan = Int64.float_of_bits 0xFFF8000000000001L
+
+(* Left: det key columns of every awkward kind beside an uncertain "x";
+   selecting on "x" gives each repetition its own presence. *)
+let keyed_left ~n_reps =
+  let fkeys =
+    [| v_float nan; v_float neg_nan; v_float (-0.); v_float 0.; v_float 1.5;
+       v_float 2.; v_float (float_of_int two53); Value.Null |]
+  in
+  let skeys = [| v_str "a"; v_str "b"; Value.Null |] in
+  let keys =
+    Table.create
+      (Schema.of_list [ ("kf", Value.Tfloat); ("ks", Value.Tstring); ("ki", Value.Tint) ])
+      (List.init 24 (fun i -> [| fkeys.(i mod 8); skeys.(i mod 3); v_int (i mod 4) |]))
+  in
+  let st =
+    St.define ~name:"KEYED"
+      ~schema:
+        (Schema.of_list
+           [ ("kf", Value.Tfloat); ("ks", Value.Tstring); ("ki", Value.Tint);
+             ("x", Value.Tfloat) ])
+      ~driver:keys ~vg:Vg.normal
+      ~params:(fun _ -> [ sbp_param ])
+      ~combine:(fun d v -> [| d.(0); d.(1); d.(2); v.(0) |])
+  in
+  Bundle.select
+    Expr.(col "x" > float 120.)
+    (Bundle.of_stochastic_table st (Rng.create ~seed:77 ()) ~n_reps)
+
+(* Right: a float key, an int key meeting the float key numerically, an
+   int key holding 2^53 + 1 (inexact as a float, so Keycode refuses it
+   against "kf" and the boxed path answers), and a string key. *)
+let keyed_right_table =
+  let cycle a i = a.(i mod Array.length a) in
+  Table.create
+    (Schema.of_list
+       [ ("rkf", Value.Tfloat); ("rki", Value.Tint); ("rbig", Value.Tint);
+         ("rks", Value.Tstring); ("y", Value.Tint) ])
+    (List.init 12 (fun i ->
+         [|
+           cycle [| v_float nan; v_float 0.; v_float (-0.); v_float 2.; Value.Null;
+                    v_float 3. |] i;
+           cycle [| v_int 0; v_int 2; Value.Null |] i;
+           cycle [| v_int (two53 + 1); v_int 2; v_int 0; Value.Null |] i;
+           cycle [| v_str "a"; v_str "b"; Value.Null; v_str "a" |] i;
+           v_int i;
+         |]))
+
+let test_join_matches_algebra () =
+  let n_reps = 6 in
+  let left = keyed_left ~n_reps in
+  let right =
+    Bundle.select Expr.(col "y" <> int 3) (Bundle.of_table keyed_right_table ~n_reps)
+  in
+  (* The refused fixture really is refused. *)
+  let col_of t name =
+    let j = Schema.column_index (Table.schema t) name in
+    Column.of_det_cells ~ty:(Schema.column_type (Table.schema t) name)
+      ~rows:(Table.cardinality t) ~reps:1 (fun i -> (Table.rows t).(i).(j))
+  in
+  let left0 = (Bundle.to_instances left).(0) in
+  Alcotest.(check bool) "2^53+1 against a float key is refused" true
+    (Keycode.of_columns
+       [ [| col_of keyed_right_table "rbig" |]; [| col_of left0 "kf" |] ]
+    = None);
+  let l_inst = Bundle.to_instances left and r_inst = Bundle.to_instances right in
+  List.iter
+    (fun (label, on) ->
+      let joined = Bundle.to_instances (Bundle.join ~on left right) in
+      Alcotest.(check bool) (label ^ ": some rep matches") true
+        (Array.exists (fun t -> Table.cardinality t > 0) joined);
+      Array.iteri
+        (fun r inst ->
+          check_tables_identical
+            (Printf.sprintf "%s, rep %d" label r)
+            (Algebra.equi_join ~on l_inst.(r) r_inst.(r))
+            inst)
+        joined)
+    [
+      ("float key", [ ("kf", "rkf") ]);
+      ("float vs int key", [ ("kf", "rki") ]);
+      ("refused key", [ ("kf", "rbig") ]);
+      ("string + float key", [ ("ks", "rks"); ("kf", "rkf") ]);
+      ("int key", [ ("ki", "rki") ]);
+      ("no key", []);
+    ]
+
+let test_uncertain_keys_raise () =
+  let left = keyed_left ~n_reps:4 in
+  let right = Bundle.of_table keyed_right_table ~n_reps:4 in
+  Alcotest.check_raises "join on an uncertain key"
+    (Invalid_argument "Bundle: key column is uncertain") (fun () ->
+      ignore (Bundle.join ~on:[ ("x", "rkf") ] left right));
+  Alcotest.check_raises "aggregate on an uncertain key"
+    (Invalid_argument "Bundle: key column is uncertain") (fun () ->
+      ignore (Bundle.aggregate ~keys:[ "kf"; "x" ] [ ("n", Bundle.Count) ] left))
+
 let () =
   Alcotest.run "mde_bundle"
     [
@@ -508,6 +608,12 @@ let () =
         [ Alcotest.test_case "survivors = popcount" `Quick test_survivors_popcount ] );
       ( "nan-keys",
         [ Alcotest.test_case "NaN groups and joins" `Quick test_nan_keys ] );
+      ( "keys",
+        [
+          Alcotest.test_case "join per rep = Algebra.equi_join" `Quick
+            test_join_matches_algebra;
+          Alcotest.test_case "uncertain keys raise" `Quick test_uncertain_keys_raise;
+        ] );
       ( "plan-samples",
         [
           Alcotest.test_case "matches per-instance naive" `Quick

@@ -279,10 +279,19 @@ let prop_reljob_group_by_matches_algebra =
     ~count:100
     QCheck.(pair (int_range 1 5) (QCheck.make reljob_rows_gen))
     (fun (partitions, rows) ->
-      let t = grouped_table rows in
-      let oracle = Algebra.group_by ~keys:[ "k" ] ~aggs:reljob_aggs t in
-      let out, _ = Reljob.group_by ~partitions ~keys:[ "k" ] ~aggs:reljob_aggs t in
-      same_rows_as_multiset oracle out)
+      (* An int column beside the float key: "g" alone encodes as one
+         int word, "k" and "k"+"g" as packed bytes, [] as no key. *)
+      let t =
+        Table.create
+          (Schema.of_list [ ("k", Value.Tfloat); ("g", Value.Tint); ("v", Value.Tfloat) ])
+          (List.mapi (fun i (k, v) -> [| k; Value.Int (i mod 3); Value.Float v |]) rows)
+      in
+      List.for_all
+        (fun keys ->
+          let oracle = Algebra.group_by ~keys ~aggs:reljob_aggs t in
+          let out, _ = Reljob.group_by ~partitions ~keys ~aggs:reljob_aggs t in
+          same_rows_as_multiset oracle out)
+        [ [ "k" ]; [ "g" ]; [ "k"; "g" ]; [] ])
 
 let prop_reljob_sort_matches_algebra =
   QCheck.Test.make ~name:"Reljob.sort_by == Algebra.order_by exactly" ~count:100

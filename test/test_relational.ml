@@ -443,36 +443,71 @@ let prop_columnar_matches_algebra =
            (Columnar.to_table (Columnar.order_by ~descending:true [ "v" ] c))
       && tables_identical (Algebra.distinct t) (Columnar.to_table (Columnar.distinct c))
       && tables_identical (Algebra.limit 7 t)
-           (Columnar.to_table (Columnar.limit 7 c)))
+           (Columnar.to_table (Columnar.limit 7 c))
+      (* No key columns: one global group (even over no rows), and every
+         row has the same empty distinct key. *)
+      && both_impls
+           (Algebra.group_by ~keys:[] ~aggs t)
+           (fun impl -> Columnar.group_by ~impl ~keys:[] ~aggs c)
+      && tables_identical
+           (Algebra.distinct (Algebra.project [] t))
+           (Columnar.to_table (Columnar.distinct (Columnar.project [] c)))
+      &&
+      (* A boxed-storage key: "gb" is declared float but holds g's ints,
+         so the encoder refuses it and the boxed path must answer. The
+         column is projected away before comparing, as Algebra cannot
+         hold it. *)
+      let cb =
+        Columnar.extend ~impl:`Interpreter [ ("gb", Value.Tfloat, Expr.col "g") ] c
+      in
+      let agg_names = List.map fst aggs in
+      tables_identical
+        (Algebra.project agg_names (Algebra.group_by ~keys:[ "g" ] ~aggs t))
+        (Columnar.to_table
+           (Columnar.project agg_names (Columnar.group_by ~keys:[ "gb" ] ~aggs cb)))
+      && tables_identical (Algebra.distinct t)
+           (Columnar.to_table
+              (Columnar.project [ "k"; "g"; "v" ] (Columnar.distinct cb))))
 
 let prop_columnar_join_mixed_keys =
   QCheck.Test.make ~name:"columnar join == row join on Int/Float mixed keys"
     ~count:120
-    QCheck.(pair (small_list (int_range 0 4)) (small_list (int_range 0 4)))
+    QCheck.(pair (small_list (int_range 0 5)) (small_list (int_range 0 5)))
     (fun (ls, rs) ->
-      let left =
-        Table.create
-          (Schema.of_list [ ("k", Value.Tint); ("x", Value.Tint) ])
-          (List.mapi (fun i k -> [| Value.Int k; Value.Int i |]) ls)
+      (* Each case runs twice: once with 5 as itself (the packed path),
+         once with 5 standing for 2^53 + 1, whose float image is
+         inexact — a left side holding it makes the encoder refuse, so
+         the boxed path answers. *)
+      let check big =
+        let int_key k = if k = 5 then big else k in
+        let left =
+          Table.create
+            (Schema.of_list [ ("k", Value.Tint); ("x", Value.Tint) ])
+            (List.mapi (fun i k -> [| Value.Int (int_key k); Value.Int i |]) ls)
+        in
+        let right =
+          Table.create
+            (Schema.of_list [ ("rk", Value.Tfloat); ("y", Value.Tint) ])
+            (List.mapi
+               (fun i k ->
+                 [|
+                   (* Int 4 on the left meets Null on the right: null keys
+                      must never match, in either engine. *)
+                   (if k = 4 then Value.Null
+                    else Value.Float (float_of_int (int_key k)));
+                   Value.Int i;
+                 |])
+               rs)
+        in
+        let lc = Columnar.of_table left and rc = Columnar.of_table right in
+        (* [on = []] is the key-less join: every pair matches. *)
+        List.for_all
+          (fun on ->
+            tables_identical (Algebra.equi_join ~on left right)
+              (Columnar.to_table (Columnar.equi_join ~on lc rc)))
+          [ [ ("k", "rk") ]; [] ]
       in
-      let right =
-        Table.create
-          (Schema.of_list [ ("rk", Value.Tfloat); ("y", Value.Tint) ])
-          (List.mapi
-             (fun i k ->
-               [|
-                 (* Int 4 on the left meets Null on the right: null keys
-                    must never match, in either engine. *)
-                 (if k = 4 then Value.Null else Value.Float (float_of_int k));
-                 Value.Int i;
-               |])
-             rs)
-      in
-      tables_identical
-        (Algebra.equi_join ~on:[ ("k", "rk") ] left right)
-        (Columnar.to_table
-           (Columnar.equi_join ~on:[ ("k", "rk") ] (Columnar.of_table left)
-              (Columnar.of_table right))))
+      check 5 && check ((1 lsl 53) + 1))
 
 let test_columnar_pooled_identity () =
   let rng = Mde_prob.Rng.create ~seed:42 () in
@@ -606,16 +641,18 @@ let test_keycode_cross_side_numeric () =
   check_injective "int side vs float side"
     [ ([ l ], List.map (fun v -> [ v ]) ls); ([ r ], List.map (fun v -> [ v ]) rs) ];
   (* The join pattern: table built from side 0, probed with side 1. *)
-  let enc = Option.get (Keycode.of_columns [ [| l |]; [| r |] ]) in
-  let build = Keycode.encode enc ~side:0
-  and probe = Keycode.encode enc ~side:1 in
-  let tbl = Keycode.tbl_create ~hint:8 build.Keycode.keys in
-  List.iteri (fun i _ -> ignore (Keycode.tbl_add tbl i)) ls;
-  Alcotest.(check int) "distinct build keys" 5 (Keycode.tbl_count tbl);
-  Alcotest.(check int) "Float 2. finds Int 2" 0 (Keycode.tbl_find tbl probe.Keycode.keys 0);
-  Alcotest.(check int) "Float -0. finds Int 0" 2 (Keycode.tbl_find tbl probe.Keycode.keys 2);
-  Alcotest.(check int) "NaN unmatched" (-1) (Keycode.tbl_find tbl probe.Keycode.keys 1);
-  Alcotest.(check int) "3.5 unmatched" (-1) (Keycode.tbl_find tbl probe.Keycode.keys 3)
+  let pairs packed =
+    let pi, bi =
+      Keycode.join_pairs ~packed ~build_rows:(List.length ls)
+        ~probe_rows:(List.length rs) [| l |] [| r |]
+    in
+    Array.to_list (Array.map2 (fun p b -> (p, b)) pi bi)
+  in
+  (* Float 2. finds Int 2, Float -0. finds Int 0; NaN, 3.5 and Null
+     find nothing. *)
+  let expect = [ (0, 0); (2, 2) ] in
+  Alcotest.(check (list (pair int int))) "packed pairs" expect (pairs true);
+  Alcotest.(check (list (pair int int))) "boxed pairs" expect (pairs false)
 
 let test_keycode_shared_string_dict () =
   (* Same strings, different per-column dictionary codes (the insertion
@@ -682,27 +719,41 @@ let test_keycode_refusals_and_raw () =
     | Keycode.Kbytes _ -> Alcotest.fail "sole int column should stay unboxed")
 
 let test_keycode_tbl_first_seen () =
-  (* Dense first-seen ids, across a growth of the open-addressing table
-     (19 distinct quadratic residues > the 16-slot initial load limit). *)
+  (* Dense first-seen ids, across two growths of the open-addressing
+     table: 120 rows size it at 32 slots, which grow past 24 keys and
+     again past 48, and i*i mod 101 takes 51 distinct values. The boxed
+     path must give the same ids. *)
   let n = 120 in
-  let vs = List.init n (fun i -> Value.Int (i * i mod 37)) in
-  let enc = Option.get (Keycode.of_columns [ [| det_col Value.Tint vs |] ]) in
-  let coded = Keycode.encode enc ~side:0 in
-  let tbl = Keycode.tbl_create ~hint:4 coded.Keycode.keys in
+  let vs = List.init n (fun i -> Value.Int (i * i mod 101)) in
+  let col = det_col Value.Tint vs in
   let seen = Hashtbl.create 64 in
-  List.iteri
-    (fun i v ->
-      let expect =
+  let firsts = ref [] in
+  let expect =
+    List.mapi
+      (fun i v ->
         match Hashtbl.find_opt seen v with
         | Some id -> id
         | None ->
           let id = Hashtbl.length seen in
           Hashtbl.add seen v id;
-          id
-      in
-      Alcotest.(check int) (Printf.sprintf "row %d id" i) expect (Keycode.tbl_add tbl i))
-    vs;
-  Alcotest.(check int) "distinct count" (Hashtbl.length seen) (Keycode.tbl_count tbl)
+          firsts := i :: !firsts;
+          id)
+      vs
+  in
+  Alcotest.(check int) "distinct keys" 51 (Hashtbl.length seen);
+  List.iter
+    (fun (label, packed) ->
+      let g = Keycode.group_ids ~packed ~n_rows:n [| col |] in
+      Alcotest.(check (list int)) (label ^ " ids") expect (Array.to_list g.Keycode.ids);
+      Alcotest.(check (list int))
+        (label ^ " first rows") (List.rev !firsts)
+        (Array.to_list g.Keycode.firsts))
+    [ ("packed", true); ("boxed", false) ];
+  let none = Keycode.group_ids ~packed:true ~n_rows:3 [||] in
+  Alcotest.(check (list int)) "no key columns: one group" [ 0; 0; 0 ]
+    (Array.to_list none.Keycode.ids);
+  Alcotest.(check int) "empty input: no groups" 0
+    (Array.length (Keycode.group_ids ~packed:true ~n_rows:0 [||]).Keycode.firsts)
 
 let test_order_by_packed_matches_comparator () =
   (* Duplicate keys and nulls: the packed image's index tiebreak must
