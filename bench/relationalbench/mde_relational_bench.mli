@@ -69,9 +69,10 @@ val gate : result -> (unit, string) Result.t
 (** The acceptance gate shared by the bench harness, [mde_cli
     relational-bench] and CI: the three pipeline engines bit-identical,
     the kernel pipeline at least 3x the interpreter's throughput, the
-    packed, boxed and pooled keyed operators bit-identical, and packed
-    group_by and equi_join each at least 2x their boxed twins. [Error]
-    carries a one-line reason. *)
+    packed, boxed and pooled keyed operators bit-identical, packed
+    group_by and equi_join each at least 2x their boxed twins, and the
+    radix order_by at least 8x its comparator twin. [Error] carries a
+    one-line reason. *)
 
 val print : result -> unit
 (** Human-readable tables for both races on stdout. *)

@@ -309,8 +309,8 @@ let group_by ?pool ?(packed = true) ?(impl = (`Kernel : impl)) ~keys ~aggs t =
 
 (* Per-column typed comparator agreeing with [Value.compare] on a typed
    column's possible values: Null sorts below everything, floats through
-   [Float.compare] (NaN lowest, -0. < 0.), strings through the
-   dictionary. *)
+   [Float.compare] (NaN lowest; -0. and 0. tie and keep input order),
+   strings through the dictionary. *)
 let cmp_nulls is_null cmp i j =
   match (is_null i, is_null j) with
   | true, true -> 0
@@ -344,9 +344,9 @@ let order_by ?(descending = false) ?(packed = true) names t =
     if packed then Keycode.sort_perm ~descending cols ~n_rows:t.n_rows else None
   with
   | Some perm ->
-    (* One extracted normalized key per row: the packed image agrees
-       with the comparator chain below on order and ties, so the
-       permutation is identical. *)
+    (* Radix sort over order-preserving images: they agree with the
+       comparator chain below on order and ties, so the permutation is
+       identical. *)
     gather t perm
   | None ->
   let cmps = Array.to_list (Array.map slot_compare cols) in

@@ -74,12 +74,11 @@ val group_by :
     results are bit-identical to sequential ones. *)
 
 val order_by : ?descending:bool -> ?packed:bool -> string list -> t -> t
-(** Stable sort via typed per-column comparators agreeing with
-    [Value.compare] — or, when every key column normalizes ([packed],
-    default [true]), via one packed order-preserving {!Keycode} image
-    per row (ints, bools, dictionary ranks; the row index rides in the
-    low bits as the tiebreak) and a flat monomorphic int sort. Both
-    produce the same permutation. *)
+(** Stable sort. With [packed] (default [true]) and every key column
+    typed and deterministic, a radix sort over order-preserving
+    {!Keycode.sort_perm} images; otherwise typed per-column comparators
+    agreeing with [Value.compare]. Both produce the same permutation,
+    so [~packed:false] is the oracle. *)
 
 val distinct : ?pool:Mde_par.Pool.t -> ?packed:bool -> t -> t
 (** First occurrence of each distinct row, in row order: the first row

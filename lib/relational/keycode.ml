@@ -42,23 +42,19 @@ let bits_for count =
    the fill default 0, which can only widen the range — codes stay
    injective because base <= every non-null value. *)
 let int_range datas =
-  let mn = ref 0 and mx = ref 0 and first = ref true in
-  List.iter
-    (fun (data : int array) ->
-      Array.iter
-        (fun v ->
-          if !first then begin
-            mn := v;
-            mx := v;
-            first := false
-          end
-          else begin
-            if v < !mn then mn := v;
-            if v > !mx then mx := v
-          end)
-        data)
-    datas;
-  (!mn, !mx)
+  let mn, mx =
+    List.fold_left
+      (fun (mn, mx) (data : int array) ->
+        let mn = ref mn and mx = ref mx in
+        for i = 0 to Array.length data - 1 do
+          let v = data.(i) in
+          if v < !mn then mn := v;
+          if v > !mx then mx := v
+        done;
+        (!mn, !mx))
+      (max_int, min_int) datas
+  in
+  if mn > mx then (0, 0) else (mn, mx)
 
 let exact_float_limit = 1 lsl 53
 
@@ -584,88 +580,222 @@ let join_pairs ?pool ~packed ~build_rows ~probe_rows build probe =
 
 (* --- normalized sort keys ------------------------------------------ *)
 
-(* Order-preserving per-column images: Null -> 0 below everything,
-   ints offset by the scanned minimum, bools 0/1 after the null slot,
-   strings by dictionary *rank* under String.compare (equal strings on
-   duplicate dictionary entries must get equal ranks, or the index
-   tiebreak would be pre-empted by dictionary code order). *)
-let sort_image view =
+(* A component's sort image is a list of words, most significant first.
+   Each word is an unsigned [width]-bit number ([lsr] reads a 63-bit int
+   as unsigned, so a width of 63 is fine), and comparing the words
+   lexicographically is the component's order under
+   [Columnar.slot_compare]. [fill img ~shift ~flip] ORs the word, XORed
+   with [flip], shifted left by [shift], into every row's slot of [img]:
+   one loop per word, no per-row closure on the int and string paths. *)
+type word = { width : int; fill : int array -> shift:int -> flip:int -> unit }
+
+(* Bits in the unsigned 63-bit number [m]: the width of the range [0, m]. *)
+let bit_length m =
+  let w = ref 0 in
+  while !w < 63 && m lsr !w <> 0 do
+    incr w
+  done;
+  !w
+
+let width_mask w = if w >= 63 then -1 else (1 lsl w) - 1
+
+let code_word n width code =
+  {
+    width;
+    fill =
+      (fun img ~shift ~flip ->
+        for i = 0 to n - 1 do
+          img.(i) <- img.(i) lor ((code i lxor flip) lsl shift)
+        done);
+  }
+
+(* Ints and bools (0/1): the offset from the scanned minimum. The span
+   may wrap past [max_int]; [v - mn] then still reads right as an
+   unsigned 63-bit number. Null sits below every value as a class bit
+   above the offset. *)
+let int_image n data nulls =
+  let mn, mx = int_range [ data ] in
+  let width = bit_length (mx - mn) in
+  match nulls with
+  | None ->
+    [
+      {
+        width;
+        fill =
+          (fun img ~shift ~flip ->
+            for i = 0 to n - 1 do
+              img.(i) <- img.(i) lor (((data.(i) - mn) lxor flip) lsl shift)
+            done);
+      };
+    ]
+  | Some m ->
+    let is_null i = Bitset.get m i 0 in
+    [
+      code_word n 1 (fun i -> if is_null i then 0 else 1);
+      code_word n width (fun i -> if is_null i then 0 else data.(i) - mn);
+    ]
+
+(* Strings by dictionary {e rank} under [String.compare]: duplicate
+   dictionary entries get equal ranks, so equal strings tie. Null is
+   code 0, below every rank. *)
+let string_image n codes dict =
+  let n_dict = Array.length dict in
+  let order = Array.init n_dict Fun.id in
+  Array.sort (fun a b -> String.compare dict.(a) dict.(b)) order;
+  let ranks = Array.make n_dict 0 in
+  let rank = ref 0 in
+  Array.iteri
+    (fun pos code ->
+      if pos = 0 || not (String.equal dict.(code) dict.(order.(pos - 1))) then incr rank;
+      ranks.(code) <- !rank)
+    order;
+  [
+    {
+      width = bit_length !rank;
+      fill =
+        (fun img ~shift ~flip ->
+          for i = 0 to n - 1 do
+            let c = codes.(i) in
+            let code = if c < 0 then 0 else ranks.(c) in
+            img.(i) <- img.(i) lor ((code lxor flip) lsl shift)
+          done);
+    };
+  ]
+
+(* Floats in [Float.compare] order: a class digit (Null 0 < NaN 1 <
+   number 2) above the sign-flipped IEEE bits, split into two 32-bit
+   words since ints hold 63 bits. [-0.] is canonicalised to [+0.]
+   because [Float.compare (-0.) 0. = 0]; Null and NaN rows carry a zero
+   image, so they tie within their class. A column of numbers only
+   needs no class digit. *)
+let float_image n (data : Column.floats) nulls =
+  let is_null = null_reader nulls in
+  let cls i =
+    if is_null i then 0 else if Float.is_nan (Bigarray.Array1.get data i) then 1 else 2
+  in
+  let all_numbers =
+    let rec go i = i >= n || (cls i = 2 && go (i + 1)) in
+    go 0
+  in
+  let half ~hi img ~shift ~flip =
+    for i = 0 to n - 1 do
+      let h =
+        if cls i < 2 then 0
+        else begin
+          let f = Bigarray.Array1.get data i in
+          let b = Int64.bits_of_float (if f = 0. then 0. else f) in
+          (* Negative: flip every bit; otherwise set the sign bit. *)
+          let b = Int64.logxor b (Int64.logor (Int64.shift_right b 63) Int64.min_int) in
+          if hi then Int64.to_int (Int64.shift_right_logical b 32)
+          else Int64.to_int b land 0xFFFF_FFFF
+        end
+      in
+      img.(i) <- img.(i) lor ((h lxor flip) lsl shift)
+    done
+  in
+  [
+    code_word n (if all_numbers then 0 else 2) cls;
+    { width = 32; fill = half ~hi:true };
+    { width = 32; fill = half ~hi:false };
+  ]
+
+let sort_image n view =
   match view with
-  | Column.Vint { data; nulls; vdet = true } ->
-    let mn, mx = int_range [ data ] in
-    let span = mx - mn in
-    if span < 0 || span > (1 lsl 61) - 2 then None
-    else
-      let is_null = null_reader nulls in
-      Some (bits_for (span + 2), fun i -> if is_null i then 0 else data.(i) - mn + 1)
-  | Column.Vbool { data; nulls; vdet = true } ->
-    let is_null = null_reader nulls in
-    Some (2, fun i -> if is_null i then 0 else data.(i) + 1)
-  | Column.Vstring { codes; dict; vdet = true } ->
-    let n_dict = Array.length dict in
-    let order = Array.init n_dict Fun.id in
-    Array.sort (fun a b -> String.compare dict.(a) dict.(b)) order;
-    let ranks = Array.make n_dict 0 in
-    let rank = ref (-1) in
-    Array.iteri
-      (fun pos code ->
-        if pos = 0 || not (String.equal dict.(code) dict.(order.(pos - 1))) then
-          incr rank;
-        ranks.(code) <- !rank)
-      order;
-    Some
-      ( bits_for (!rank + 2 + Bool.to_int (n_dict = 0)),
-        fun i ->
-          let c = codes.(i) in
-          if c < 0 then 0 else ranks.(c) + 1 )
+  | Column.Vint { data; nulls; vdet = true } | Column.Vbool { data; nulls; vdet = true } ->
+    Some (int_image n data nulls)
+  | Column.Vstring { codes; dict; vdet = true } -> Some (string_image n codes dict)
+  | Column.Vfloat { data; nulls; vdet = true } -> Some (float_image n data nulls)
   | _ -> None
 
-let sort_perm ?(descending = false) cols ~n_rows =
-  if n_rows <= 1 then Some (Array.init n_rows Fun.id)
-  else begin
-    let images = Array.map (fun c -> sort_image (Column.view c)) cols in
-    if Array.exists Option.is_none images then None
-    else begin
-      let images = Array.map Option.get images in
-      let k = Array.length images in
-      let total = Array.fold_left (fun a (w, _) -> a + w) 0 images in
-      if total > 62 then None
-      else begin
-        let img i =
-          let key = ref 0 in
-          for c = 0 to k - 1 do
-            let w, f = images.(c) in
-            key := (!key lsl w) lor f i
-          done;
-          !key
-        in
-        let idx_bits = bits_for n_rows in
-        if total + idx_bits <= 62 then begin
-          (* Fully unboxed: key and tiebreak index share one word, so a
-             flat monomorphic int sort gives the stable order. Descending
-             complements the key image, never the index. *)
-          let wmask = (1 lsl total) - 1 in
-          let imask = (1 lsl idx_bits) - 1 in
-          let arr =
-            Array.init n_rows (fun i ->
-                let v = img i in
-                let v = if descending then v lxor wmask else v in
-                (v lsl idx_bits) lor i)
-          in
-          Array.sort (fun (a : int) b -> Int.compare a b) arr;
-          Some (Array.map (fun packed -> packed land imask) arr)
-        end
-        else begin
-          let imgs = Array.init n_rows img in
-          let perm = Array.init n_rows Fun.id in
-          Array.sort
-            (fun a b ->
-              let c = Int.compare imgs.(a) imgs.(b) in
-              let c = if descending then -c else c in
-              if c <> 0 then c else Int.compare a b)
-            perm;
-          Some perm
-        end
-      end
+let radix_bits = 11
+
+(* One stable counting-sort pass per digit of [keys] (an image word of
+   [width] bits, in row order), least significant digit first, moving
+   the permutation between [perm] and [scratch]. Digits are balanced to
+   at most [radix_bits] bits; a digit every row shares is skipped.
+   Returns the sorted permutation and the spare array. *)
+let radix_word keys ~width perm scratch =
+  let n = Array.length keys in
+  let passes = (width + radix_bits - 1) / radix_bits in
+  let d = (width + passes - 1) / passes in
+  let buckets = 1 lsl d and m = (1 lsl d) - 1 in
+  (* Histograms do not depend on row order: count every digit with
+     sequential reads before the first scatter. *)
+  let counts = Array.make (passes * buckets) 0 in
+  for p = 0 to passes - 1 do
+    let base = p * buckets and shift = p * d in
+    for i = 0 to n - 1 do
+      let b = base + ((keys.(i) lsr shift) land m) in
+      counts.(b) <- counts.(b) + 1
+    done
+  done;
+  let src = ref perm and dst = ref scratch in
+  for p = 0 to passes - 1 do
+    let shift = p * d and base = p * buckets in
+    if counts.(base + ((keys.(0) lsr shift) land m)) < n then begin
+      let sum = ref 0 in
+      for b = base to base + buckets - 1 do
+        let c = counts.(b) in
+        counts.(b) <- !sum;
+        sum := !sum + c
+      done;
+      let s = !src and t = !dst in
+      for i = 0 to n - 1 do
+        let r = s.(i) in
+        let b = base + ((keys.(r) lsr shift) land m) in
+        let o = counts.(b) in
+        t.(o) <- r;
+        counts.(b) <- o + 1
+      done;
+      src := t;
+      dst := s
     end
+  done;
+  (!src, !dst)
+
+let sort_perm ?(descending = false) cols ~n_rows =
+  let images = Array.map (fun c -> sort_image n_rows (Column.view c)) cols in
+  if Array.exists Option.is_none images then None
+  else if n_rows <= 1 then Some (Array.init n_rows Fun.id)
+  else begin
+    let words =
+      Array.to_list images
+      |> List.concat_map Option.get
+      |> List.filter (fun w -> w.width > 0)
+    in
+    (* Fuse adjacent words, from the least significant end, into keys of
+       at most 63 bits: [(width, [(word, shift)])], least significant
+       key first. *)
+    let keys =
+      List.fold_left
+        (fun keys w ->
+          match keys with
+          | (used, key) :: rest when used + w.width <= 63 ->
+            (used + w.width, (w, used) :: key) :: rest
+          | _ -> (w.width, [ (w, 0) ]) :: keys)
+        [] (List.rev words)
+      |> List.rev
+    in
+    let img = Array.make n_rows 0 in
+    let perm = Array.make n_rows 0 in
+    for i = 0 to n_rows - 1 do
+      perm.(i) <- i
+    done;
+    (* LSD: keys from least to most significant, each stable, so earlier
+       keys break later keys' ties and equal rows keep input order.
+       Descending flips every word within its width: key order reverses,
+       tie order does not, exactly like [Algebra.order_by]. *)
+    let perm, _ =
+      List.fold_left
+        (fun (perm, scratch) (width, key) ->
+          Array.fill img 0 n_rows 0;
+          List.iter
+            (fun (w, shift) ->
+              w.fill img ~shift ~flip:(if descending then width_mask w.width else 0))
+            key;
+          radix_word img ~width perm scratch)
+        (perm, Array.make n_rows 0)
+        keys
+    in
+    Some perm
   end

@@ -112,13 +112,16 @@ val join_pairs :
 (** {2 Normalized sort keys} *)
 
 val sort_perm : ?descending:bool -> Column.t array -> n_rows:int -> int array option
-(** The stable multi-key sort permutation via one extracted normalized
-    key per row instead of a per-column comparator chain: each
-    component maps order-preservingly onto a packed integer (Null
-    lowest, ints offset, bools 0/1, strings by dictionary {e rank}),
-    the row index rides in the low bits as the tiebreak, and one flat
-    [int array] sort replaces the closure chain. [descending] reverses
-    the key order, never the tiebreak, exactly like
-    {!Algebra.order_by}. [None] when a component does not normalize
-    (floats, boxed storage) or the packed image would not fit — the
-    caller keeps its comparator path. *)
+(** The stable multi-key sort permutation, by LSD radix sort instead of
+    a per-column comparator chain. Each component maps
+    order-preservingly onto unsigned image words: Null lowest, ints and
+    bools offset from their minimum, strings by dictionary {e rank},
+    floats by a class digit (Null < NaN < number) above their
+    sign-flipped bits with [-0.] read as [0.]. Adjacent words fuse into
+    keys of at most 63 bits, and one stable counting-sort pass runs per
+    digit of at most 11 bits, least significant first, so equal keys
+    keep their input order. [descending] complements each image within
+    its width: key order reverses, tie order does not, exactly like
+    {!Algebra.order_by}. [None] only when a component has no image
+    (boxed storage or a non-det column); the caller then keeps its
+    comparator path. *)

@@ -792,6 +792,141 @@ let test_order_by_packed_matches_comparator () =
            (Columnar.to_table (Columnar.order_by ~descending keys c))))
     [ false; true ]
 
+(* The comparator oracle for [Keycode.sort_perm]: a stable sort by
+   [Value.compare] over the boxed cells; descending negates the key
+   comparison only, so ties keep input order either way. *)
+let oracle_perm ~descending cols ~n_rows =
+  let cmp a b =
+    let rec go c =
+      if c = Array.length cols then 0
+      else
+        let v = Value.compare (Column.value cols.(c) a 0) (Column.value cols.(c) b 0) in
+        if v <> 0 then v else go (c + 1)
+    in
+    if descending then -go 0 else go 0
+  in
+  let perm = Array.init n_rows Fun.id in
+  Array.stable_sort cmp perm;
+  perm
+
+let sort_perm_matches cols ~n_rows =
+  List.for_all
+    (fun descending ->
+      Keycode.sort_perm ~descending cols ~n_rows
+      = Some (oracle_perm ~descending cols ~n_rows))
+    [ false; true ]
+
+let check_sort_perm label cols ~n_rows =
+  Alcotest.(check bool) label true (sort_perm_matches cols ~n_rows)
+
+let test_sort_perm_edges () =
+  let ints vs = det_col Value.Tint (List.map (fun v -> Value.Int v) vs) in
+  let nulls ty n = det_col ty (List.init n (fun _ -> Value.Null)) in
+  check_sort_perm "no rows" [| ints [] |] ~n_rows:0;
+  check_sort_perm "one row" [| ints [ 7 ] |] ~n_rows:1;
+  check_sort_perm "two rows" [| ints [ 7; 3 ] |] ~n_rows:2;
+  check_sort_perm "two tied rows" [| ints [ 3; 3 ] |] ~n_rows:2;
+  check_sort_perm "all-Null int" [| nulls Value.Tint 6 |] ~n_rows:6;
+  check_sort_perm "all-Null float and string"
+    [| nulls Value.Tfloat 6; nulls Value.Tstring 6 |]
+    ~n_rows:6;
+  check_sort_perm "one distinct value" [| ints (List.init 9 (fun _ -> 4)) |] ~n_rows:9;
+  check_sort_perm "full int range with nulls"
+    [|
+      det_col Value.Tint
+        [ Value.Int max_int; Value.Int min_int; Value.Null; Value.Int 0; Value.Int (-1);
+          Value.Int min_int; Value.Null; Value.Int max_int ];
+    |]
+    ~n_rows:8;
+  (* Three components spanning about 2^30 each: 90 key bits, which the
+     single-word packing used to refuse. A small pool of values keeps
+     duplicates, and with them the tie order, in play. *)
+  let rng = Mde_prob.Rng.create ~seed:5 () in
+  let n = 400 in
+  let wide () =
+    let pool =
+      Array.init 6 (fun k ->
+          if k = 0 then -(1 lsl 29)
+          else if k = 1 then (1 lsl 29) - 1
+          else Mde_prob.Rng.int rng (1 lsl 30) - (1 lsl 29))
+    in
+    ints (List.init n (fun _ -> pool.(Mde_prob.Rng.int rng 6)))
+  in
+  check_sort_perm "wide composite over 62 bits" [| wide (); wide (); wide () |] ~n_rows:n;
+  (* Duplicate dictionary entries must rank equal, so their rows tie. *)
+  let dup =
+    Column.of_codes ~det:true ~reps:1
+      ~dict:[| "b"; "a"; "b"; "c"; "a" |]
+      [| 0; 2; 1; -1; 4; 3; 2; 0; -1; 1 |]
+  in
+  check_sort_perm "duplicate dictionary entries" [| dup |] ~n_rows:10;
+  check_sort_perm "duplicate dictionary entries + int"
+    [| dup; ints [ 1; 1; 0; 0; 1; 1; 0; 0; 1; 1 ] |]
+    ~n_rows:10;
+  let bools =
+    det_col Value.Tbool
+      (List.init 30 (fun i -> if i mod 7 = 0 then Value.Null else Value.Bool (i mod 3 = 0)))
+  in
+  check_sort_perm "descending with duplicates" [| bools; ints (List.init 30 (fun i -> i mod 4)) |]
+    ~n_rows:30;
+  (* No image, no radix sort: boxed storage and non-det columns. *)
+  Alcotest.(check bool) "boxed storage refused" true
+    (Keycode.sort_perm [| Column.of_values ~det:true ~reps:1 [| Value.Int 1; Value.Int 0 |] |]
+       ~n_rows:2
+    = None);
+  Alcotest.(check bool) "non-det column refused" true
+    (Keycode.sort_perm [| Column.of_ints ~det:false ~reps:2 [| 1; 2; 0; 0 |] |] ~n_rows:2 = None)
+
+(* Float sort keys with every [Float.compare] hazard: NaN payloads, both
+   zeros, both infinities, Null and duplicates, alone and in float + int
+   + string composites. *)
+let sort_rows_gen =
+  QCheck.Gen.(
+    let vfloat =
+      frequency
+        [ (4, map (fun f -> Value.Float f) (float_range (-3.) 3.));
+          ( 3,
+            map
+              (fun f -> Value.Float f)
+              (oneofl [ nan; neg_nan; -0.; 0.; infinity; neg_infinity; 1.5; -1.5 ]) );
+          (1, return Value.Null) ]
+    in
+    let vint =
+      frequency [ (5, map (fun i -> Value.Int i) (int_range (-3) 3)); (1, return Value.Null) ]
+    in
+    let vstr =
+      frequency
+        [ (5, map (fun s -> Value.String s) (oneofl [ "x"; "y"; "z" ])); (1, return Value.Null) ]
+    in
+    list_size (int_range 0 40) (triple vfloat vint vstr))
+
+let prop_float_sort_perm =
+  QCheck.Test.make ~name:"float order_by radix == comparator == row order_by" ~count:150
+    (QCheck.make sort_rows_gen)
+    (fun rows ->
+      let t =
+        Table.create
+          (Schema.of_list [ ("f", Value.Tfloat); ("i", Value.Tint); ("s", Value.Tstring) ])
+          (List.map (fun (f, i, s) -> [| f; i; s |]) rows)
+      in
+      let c = Columnar.of_table t in
+      let col ty sel = det_col ty (List.map sel rows) in
+      let f = col Value.Tfloat (fun (f, _, _) -> f)
+      and i = col Value.Tint (fun (_, i, _) -> i)
+      and s = col Value.Tstring (fun (_, _, s) -> s) in
+      let n_rows = List.length rows in
+      List.for_all (fun cols -> sort_perm_matches cols ~n_rows) [ [| f |]; [| f; i; s |]; [| s; f; i |] ]
+      && List.for_all
+           (fun (keys, descending) ->
+             let radix = Columnar.to_table (Columnar.order_by ~descending keys c) in
+             tables_identical (Algebra.order_by ~descending keys t) radix
+             && tables_identical
+                  (Columnar.to_table (Columnar.order_by ~descending ~packed:false keys c))
+                  radix)
+           (List.concat_map
+              (fun keys -> [ (keys, false); (keys, true) ])
+              [ [ "f" ]; [ "f"; "i"; "s" ]; [ "i"; "f" ]; [ "s"; "f" ] ]))
+
 let mixed_table_r rows =
   let schema =
     Schema.of_list [ ("rk", Value.Tfloat); ("rg", Value.Tint); ("rv", Value.Tfloat) ]
@@ -820,6 +955,11 @@ let prop_packed_matches_boxed =
       && same
            (Columnar.order_by ~packed:false ~descending:true [ "g" ] lc)
            (Columnar.order_by ~descending:true [ "g" ] lc)
+      && same (Columnar.order_by ~packed:false [ "g"; "k" ] lc) (Columnar.order_by [ "g"; "k" ] lc)
+      && same
+           (Columnar.order_by ~packed:false ~descending:true [ "v"; "g" ] lc)
+           (Columnar.order_by ~descending:true [ "v"; "g" ] lc)
+      && same (Columnar.order_by ~packed:false [ "k" ] lc) (Columnar.order_by [ "k" ] lc)
       && same
            (Columnar.equi_join ~packed:false ~on:[ ("g", "rg") ] lc rc)
            (Columnar.equi_join ~on:[ ("g", "rg") ] lc rc)
@@ -1268,6 +1408,7 @@ let () =
           Alcotest.test_case "table first-seen ids" `Quick test_keycode_tbl_first_seen;
           Alcotest.test_case "order_by packed == comparator" `Quick
             test_order_by_packed_matches_comparator;
+          Alcotest.test_case "sort_perm == stable comparator" `Quick test_sort_perm_edges;
           Alcotest.test_case "keyed ops pooled == sequential" `Quick
             test_keyed_pooled_identity;
         ] );
@@ -1294,5 +1435,5 @@ let () =
           [ prop_select_conjunction; prop_join_count; prop_distinct_idempotent;
             prop_expr_total; prop_optimize_preserves_semantics;
             prop_columnar_matches_algebra; prop_columnar_join_mixed_keys;
-            prop_packed_matches_boxed; prop_plan_execute_bit_identity ] );
+            prop_packed_matches_boxed; prop_float_sort_perm; prop_plan_execute_bit_identity ] );
     ]
