@@ -35,7 +35,10 @@ type t = {
   mutable day : int;
   closures : (string, int) Hashtbl.t;  (* contact kind -> days remaining *)
   mutable closure_days_total : int;
+  static_cols : Column.t array;  (* pid, age, household: never change *)
 }
+
+let int_column persons f = Column.of_ints ~det:true ~reps:1 (Array.map f persons)
 
 let create ?(seed = 5) network params =
   assert (params.initial_infectious >= 1);
@@ -52,7 +55,22 @@ let create ?(seed = 5) network params =
       incr seeded
     end
   done;
-  { network; params; rng; day = 0; closures = Hashtbl.create 4; closure_days_total = 0 }
+  let static_cols =
+    [|
+      int_column persons (fun p -> p.Network.id);
+      int_column persons (fun p -> p.Network.age);
+      int_column persons (fun p -> p.Network.household);
+    |]
+  in
+  {
+    network;
+    params;
+    rng;
+    day = 0;
+    closures = Hashtbl.create 4;
+    closure_days_total = 0;
+    static_cols;
+  }
 
 let network t = t.network
 let day t = t.day
@@ -166,31 +184,49 @@ let person_schema =
       ("fear", Value.Tfloat);
     ]
 
+(* The session tables are built as typed columns straight from the
+   person records: health as dictionary codes, quarantined as 0/1, fear
+   unboxed. No row is boxed unless a query reads one. [health_dict] is
+   indexed by [health_code]. *)
+let health_dict =
+  Array.map Network.health_name
+    Network.[| Susceptible; Exposed; Infectious; Recovered; Vaccinated |]
+
+let health_code = function
+  | Network.Susceptible -> 0
+  | Network.Exposed -> 1
+  | Network.Infectious -> 2
+  | Network.Recovered -> 3
+  | Network.Vaccinated -> 4
+
 let person_table t =
-  let rows =
-    Array.map
-      (fun p ->
-        [|
-          Value.Int p.Network.id;
-          Value.Int p.Network.age;
-          Value.Int p.Network.household;
-          Value.String (Network.health_name p.Network.health);
-          Value.Bool (p.Network.quarantined_days > 0);
-          Value.Float p.Network.fear;
-        |])
-      (Network.persons t.network)
+  let persons = Network.persons t.network in
+  let n = Array.length persons in
+  let fear = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
+  Array.iteri (fun i p -> Bigarray.Array1.set fear i p.Network.fear) persons;
+  let dynamic =
+    [|
+      Column.of_codes ~det:true ~reps:1 ~dict:health_dict
+        (Array.map (fun p -> health_code p.Network.health) persons);
+      Column.of_bools ~det:true ~reps:1
+        (Array.map (fun p -> Bool.to_int (p.Network.quarantined_days > 0)) persons);
+      Column.of_floats ~det:true ~reps:1 fear;
+    |]
   in
-  Table.of_rows person_schema rows
+  Table.of_columns person_schema ~n_rows:n (Array.append t.static_cols dynamic)
 
 let infected_schema = Schema.of_list [ ("pid", Value.Tint) ]
 
 let infected_table t =
-  let rows =
-    Array.to_list (Network.persons t.network)
-    |> List.filter (fun p -> p.Network.health = Network.Infectious)
-    |> List.map (fun p -> [| Value.Int p.Network.id |])
+  let ids =
+    Array.of_list
+      (Array.fold_right
+         (fun p acc ->
+           if p.Network.health = Network.Infectious then p.Network.id :: acc else acc)
+         (Network.persons t.network) [])
   in
-  Table.create infected_schema rows
+  Table.of_columns infected_schema ~n_rows:(Array.length ids)
+    [| Column.of_ints ~det:true ~reps:1 ids |]
 
 let catalog t =
   let c = Catalog.create () in

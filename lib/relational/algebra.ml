@@ -31,8 +31,7 @@ let extend defs table =
   in
   Table.of_rows out_schema rows
 
-let rename renames table =
-  Table.of_rows (Schema.rename (Table.schema table) renames) (Table.rows table)
+let rename renames table = Table.rename table renames
 
 type join_kind = Inner | Left
 

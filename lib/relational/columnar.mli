@@ -26,7 +26,15 @@ type impl = Impl.t
 (** = [[ `Kernel | `Interpreter ]]; the shared selector ({!Impl.t}). *)
 
 val of_table : Table.t -> t
+(** A view of the table's typed columns ({!Table.columns}): O(1) once
+    they are built, and built at most once per table. *)
+
 val to_table : t -> Table.t
+(** {!Table.of_columns} over the result: no row is boxed until a caller
+    reads {!Table.rows}. Boxed or mistyped columns (an extend whose
+    expression contradicts its declared type) are checked cell by cell
+    and raise as {!Algebra} does. *)
+
 val schema : t -> Schema.t
 val row_count : t -> int
 

@@ -1,28 +1,26 @@
-(* Queries execute eagerly: each combinator materializes its result.
-   This keeps semantics obvious; the engine's tables are small enough in
-   all workloads here that pipelining would buy nothing. *)
-type t = Table.t
+type t = Columnar.t
 
-let of_table table = table
-let where pred q = Algebra.select pred q
-let select_cols names q = Algebra.project names q
-let compute defs q = Algebra.extend defs q
-let rename_cols renames q = Algebra.rename renames q
-let join ?kind ~on right q = Algebra.equi_join ?kind ~on q right
-let join_query ?kind ~on right q = Algebra.equi_join ?kind ~on q right
-let group ~keys ~aggs q = Algebra.group_by ~keys ~aggs q
-let sort ?descending names q = Algebra.order_by ?descending names q
-let dedup q = Algebra.distinct q
-let take n q = Algebra.limit n q
-let run q = q
+let of_table = Columnar.of_table
+let where pred q = Columnar.select pred q
+let select_cols names q = Columnar.project names q
+let compute defs q = Columnar.extend defs q
+let rename_cols renames q = Columnar.of_table (Table.rename (Columnar.to_table q) renames)
+let join ~on right q = Columnar.equi_join ~on q (Columnar.of_table right)
+let group ~keys ~aggs q = Columnar.group_by ~keys ~aggs q
+let sort ?descending names q = Columnar.order_by ?descending names q
+let dedup q = Columnar.distinct q
+let take n q = Columnar.limit n q
+let run = Columnar.to_table
 
 let scalar q =
-  if Table.cardinality q = 1 && Schema.arity (Table.schema q) = 1 then
-    (Table.rows q).(0).(0)
+  let t = run q in
+  if Table.cardinality t = 1 && Schema.arity (Table.schema t) = 1 then
+    (Table.rows t).(0).(0)
   else
     invalid_arg
       (Printf.sprintf "Query.scalar: result is %dx%d, expected 1x1"
-         (Table.cardinality q)
-         (Schema.arity (Table.schema q)))
+         (Table.cardinality t)
+         (Schema.arity (Table.schema t)))
 
-let count q = Table.cardinality q
+(* Through [run], so a result that would not validate raises here too. *)
+let count q = Table.cardinality (run q)

@@ -284,6 +284,72 @@ let test_fear_queryable () =
   in
   Alcotest.(check bool) "fearful subpopulation queryable" true (fearful > 0)
 
+(* The session tables are built as typed columns; they must equal a
+   row-built table written straight from the person records. *)
+let test_session_tables_match_rows () =
+  let params =
+    {
+      Indemics.default_params with
+      fear_gain = 0.3;
+      fear_distancing = 0.5;
+      edge_churn_per_1000 = 5;
+    }
+  in
+  let engine = Indemics.create ~seed:34 (net ()) params in
+  for d = 1 to 12 do
+    ignore (Indemics.step_day engine);
+    if d mod 4 = 0 then
+      ignore
+        (Indemics.apply_intervention engine
+           ~pids:(List.init 40 (fun i -> (i * 17) + d))
+           (Indemics.Quarantine 3))
+  done;
+  let persons = Network.persons (Indemics.network engine) in
+  let person_ref =
+    Table.of_rows
+      (Schema.of_list
+         [ ("pid", Value.Tint); ("age", Value.Tint); ("household", Value.Tint);
+           ("health", Value.Tstring); ("quarantined", Value.Tbool); ("fear", Value.Tfloat) ])
+      (Array.map
+         (fun p ->
+           Value.
+             [|
+               Int p.Network.id;
+               Int p.Network.age;
+               Int p.Network.household;
+               String (Network.health_name p.Network.health);
+               Bool (p.Network.quarantined_days > 0);
+               Float p.Network.fear;
+             |])
+         persons)
+  in
+  let infected_ref =
+    Table.create (Schema.of_list [ ("pid", Value.Tint) ])
+      (Array.to_list persons
+      |> List.filter (fun p -> p.Network.health = Network.Infectious)
+      |> List.map (fun p -> [| Value.Int p.Network.id |]))
+  in
+  (* Floats compare by their bits. *)
+  let identical a b =
+    Schema.equal (Table.schema a) (Table.schema b)
+    && Table.cardinality a = Table.cardinality b
+    && Array.for_all2
+         (Array.for_all2 (fun x y ->
+              match (x, y) with
+              | Value.Float f, Value.Float g -> Int64.bits_of_float f = Int64.bits_of_float g
+              | _ -> Value.equal x y && Value.type_of x = Value.type_of y))
+         (Table.rows a) (Table.rows b)
+  in
+  let quarantined = Array.exists (fun p -> p.Network.quarantined_days > 0) persons in
+  let fearful = Array.exists (fun p -> p.Network.fear > 0.) persons in
+  Alcotest.(check bool) "quarantine and fear are live" true (quarantined && fearful);
+  Alcotest.(check bool) "Person == row-built reference" true
+    (identical person_ref (Indemics.person_table engine));
+  Alcotest.(check bool) "InfectedPerson == row-built reference" true
+    (identical infected_ref (Indemics.infected_table engine));
+  Alcotest.(check bool) "session tables are column-built" true
+    (Table.form (Indemics.person_table engine) = Table.Columns)
+
 let symmetric n =
   let ok = ref true in
   Array.iter
@@ -327,7 +393,10 @@ let () =
           Alcotest.test_case "epidemic spreads" `Quick test_epidemic_spreads;
         ] );
       ( "session",
-        [ Alcotest.test_case "relational tables" `Quick test_relational_session ] );
+        [
+          Alcotest.test_case "relational tables" `Quick test_relational_session;
+          Alcotest.test_case "column-built tables == rows" `Quick test_session_tables_match_rows;
+        ] );
       ( "interventions",
         [
           Alcotest.test_case "mass vaccination" `Quick test_vaccination_intervention;

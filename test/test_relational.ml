@@ -1042,6 +1042,178 @@ let test_query_join_compute () =
   Alcotest.(check int) "joined rows" 3 (Table.cardinality result);
   Alcotest.(check (float 1e-9)) "top weighted" 150. (Value.to_float (Table.get result 0 "weighted"))
 
+(* Every combinator against its Algebra pipeline, bit for bit, on tables
+   holding Null, NaN, -0. and strings. *)
+let query_rows_gen =
+  QCheck.Gen.(
+    let vfloat =
+      frequency
+        [ (5, map (fun f -> Value.Float f) (float_range (-3.) 3.));
+          (1, return (Value.Float nan));
+          (1, return (Value.Float (-0.)));
+          (1, return (Value.Float 0.));
+          (1, return Value.Null) ]
+    in
+    let vint =
+      frequency [ (5, map (fun i -> Value.Int i) (int_range 0 3)); (1, return Value.Null) ]
+    in
+    let vstr =
+      frequency
+        [ (5, map (fun s -> Value.String s) (oneofl [ "a"; "b"; ""; "ab" ]));
+          (1, return Value.Null) ]
+    in
+    list_size (int_range 0 25) (quad vfloat vint vstr vfloat))
+
+let query_left rows =
+  Table.create
+    (Schema.of_list
+       [ ("k", Value.Tfloat); ("g", Value.Tint); ("s", Value.Tstring); ("v", Value.Tfloat) ])
+    (List.map (fun (k, g, s, v) -> [| k; g; s; v |]) rows)
+
+let query_right rows =
+  Table.create
+    (Schema.of_list [ ("rg", Value.Tint); ("rs", Value.Tstring); ("w", Value.Tfloat) ])
+    (List.map (fun (_, g, s, v) -> [| g; s; v |]) rows)
+
+let prop_query_matches_algebra =
+  QCheck.Test.make ~name:"every Query combinator == its Algebra pipeline" ~count:150
+    (QCheck.pair (QCheck.make query_rows_gen) (QCheck.make query_rows_gen))
+    (fun (lrows, rrows) ->
+      let t = query_left lrows and right = query_right rrows in
+      let q = Query.of_table t in
+      let same q oracle = tables_identical oracle (Query.run q) in
+      let pred = Expr.(col "v" > float 0. || col "s" = string "a") in
+      let defs = [ ("x", Value.Tfloat, Expr.((col "v" * float 2.) + col "k")) ] in
+      let aggs =
+        [ ("n", Algebra.Count);
+          ("sv", Algebra.Sum (Expr.col "v"));
+          ("lo", Algebra.Min (Expr.col "k"));
+          ("hi", Algebra.Max (Expr.col "v")) ]
+      in
+      let sum_v = [ ("sv", Algebra.Sum (Expr.col "v")) ] in
+      same (Query.where pred q) (Algebra.select pred t)
+      && same (Query.select_cols [ "s"; "k" ] q) (Algebra.project [ "s"; "k" ] t)
+      && same (Query.compute defs q) (Algebra.extend defs t)
+      && same (Query.rename_cols [ ("k", "kk") ] q) (Algebra.rename [ ("k", "kk") ] t)
+      && List.for_all
+           (fun on -> same (Query.join ~on right q) (Algebra.equi_join ~on t right))
+           [ [ ("g", "rg") ]; [ ("s", "rs"); ("g", "rg") ] ]
+      && same (Query.group ~keys:[ "s" ] ~aggs q) (Algebra.group_by ~keys:[ "s" ] ~aggs t)
+      && same (Query.group ~keys:[ "k" ] ~aggs q) (Algebra.group_by ~keys:[ "k" ] ~aggs t)
+      && same (Query.sort [ "s"; "k" ] q) (Algebra.order_by [ "s"; "k" ] t)
+      && same
+           (Query.sort ~descending:true [ "k" ] q)
+           (Algebra.order_by ~descending:true [ "k" ] t)
+      && same (Query.dedup q) (Algebra.distinct t)
+      && same (Query.take 5 q) (Algebra.limit 5 t)
+      && value_identical
+           (Query.scalar (Query.group ~keys:[] ~aggs:sum_v q))
+           (Table.get (Algebra.group_by ~keys:[] ~aggs:sum_v t) 0 "sv")
+      && Query.count (Query.where pred q) = Table.cardinality (Algebra.select pred t)
+      (* A chained pipeline over a renamed column. *)
+      && same
+           (q |> Query.where pred |> Query.compute defs
+           |> Query.rename_cols [ ("x", "y") ]
+           |> Query.sort [ "y" ] |> Query.take 4)
+           (t |> Algebra.select pred |> Algebra.extend defs
+           |> Algebra.rename [ ("x", "y") ]
+           |> Algebra.order_by [ "y" ] |> Algebra.limit 4))
+
+(* --- tables: the two representations --- *)
+
+(* [people], built a second time from typed columns. *)
+let people_by_columns () =
+  let cols = Table.columns (Table.of_rows people_schema (Table.rows people)) in
+  Table.of_columns people_schema ~n_rows:(Table.cardinality people) cols
+
+let test_table_two_forms () =
+  let by_rows = Table.of_rows people_schema (Table.rows people) in
+  let by_cols = people_by_columns () in
+  Alcotest.(check int) "cardinality" (Table.cardinality by_rows) (Table.cardinality by_cols);
+  Alcotest.(check bool) "cardinality forces no rows" true (Table.form by_cols = Table.Columns);
+  Alcotest.(check bool) "cardinality forces no columns" true (Table.form by_rows = Table.Rows);
+  Alcotest.(check bool) "get reads columns without boxing" true
+    (Value.equal (Table.get by_cols 1 "name") (v_str "bob")
+    && Table.form by_cols = Table.Columns);
+  Alcotest.(check bool) "equal rows" true (tables_identical by_rows by_cols);
+  Alcotest.(check bool) "rows forced once" true (Table.rows by_cols == Table.rows by_cols);
+  Alcotest.(check bool) "now both" true (Table.form by_cols = Table.Both);
+  let cols = Table.columns by_rows in
+  Alcotest.(check bool) "columns forced once" true (cols == Table.columns by_rows);
+  (* A rename shares both forms and converts nothing. *)
+  let renamed = Table.rename (people_by_columns ()) [ ("id", "pid") ] in
+  Alcotest.(check bool) "rename keeps columns only" true (Table.form renamed = Table.Columns);
+  Alcotest.(check bool) "rename relabels" true
+    (Schema.mem (Table.schema renamed) "pid"
+    && tables_identical (Algebra.rename [ ("id", "pid") ] people) renamed)
+
+let raised f =
+  match f () with
+  | _ -> None
+  | exception Invalid_argument msg -> Some msg
+
+let replace_at j x a = Array.mapi (fun k y -> if k = j then x else y) a
+
+let test_of_columns_validation () =
+  let n = Table.cardinality people in
+  let cols = Table.columns people in
+  let same_as_of_rows label rows cols' =
+    let expected = raised (fun () -> Table.of_rows people_schema rows) in
+    Alcotest.(check bool) (label ^ ": of_rows raises") true (expected <> None);
+    Alcotest.(check (option string)) label expected
+      (raised (fun () -> Table.of_columns people_schema ~n_rows:n cols'))
+  in
+  same_as_of_rows "wrong arity"
+    (Array.map (fun r -> Array.sub r 0 3) (Table.rows people))
+    (Array.sub cols 0 3);
+  (* A boxed column holding a wrong-typed cell: "age" holds a string. *)
+  let bad_age = Array.map (fun r -> r.(2)) (Table.rows people) in
+  bad_age.(3) <- v_str "four";
+  same_as_of_rows "boxed wrong-typed cell"
+    (Array.mapi (fun i r -> replace_at 2 bad_age.(i) r) (Table.rows people))
+    (replace_at 2 (Column.of_values ~det:true ~reps:1 bad_age) cols);
+  (* Typed storage of another type: ints where floats are declared. *)
+  let ints_as_score = Column.of_ints ~det:true ~reps:1 (Array.make n 7) in
+  same_as_of_rows "mistyped storage"
+    (Array.map (replace_at 3 (v_int 7)) (Table.rows people))
+    (replace_at 3 ints_as_score cols);
+  Alcotest.(check (option string)) "wrong row count"
+    (Some "Table.of_columns: column \"id\" has 5 rows, expected 6")
+    (raised (fun () -> Table.of_columns people_schema ~n_rows:(n + 1) cols));
+  let uncertain =
+    Column.of_cells ~ty:Value.Tint ~rows:n ~reps:2 (fun i r -> v_int (i + r))
+  in
+  Alcotest.(check (option string)) "non-deterministic column"
+    (Some "Table.of_columns: column \"id\" is not deterministic")
+    (raised (fun () ->
+         Table.of_columns people_schema ~n_rows:n (replace_at 0 uncertain cols)));
+  Alcotest.(check bool) "well-formed columns accepted" true
+    (tables_identical people (Table.of_columns people_schema ~n_rows:n cols))
+
+let test_table_force_across_domains () =
+  let n = 20_000 in
+  let schema =
+    Schema.of_list [ ("i", Value.Tint); ("x", Value.Tfloat); ("s", Value.Tstring) ]
+  in
+  let reference =
+    Table.of_rows schema
+      (Array.init n (fun i ->
+           [| v_int i; v_float (float_of_int i /. 7.); v_str (string_of_int (i mod 13)) |]))
+  in
+  let cols = Table.columns (Table.of_rows schema (Table.rows reference)) in
+  Mde_par.Pool.with_pool ~domains:2 (fun pool ->
+      List.iter
+        (fun _ ->
+          let shared = Table.of_columns schema ~n_rows:n cols in
+          let seen =
+            Mde_par.Pool.parallel_init pool ~chunk:1 2 (fun _ -> Table.rows shared)
+          in
+          Alcotest.(check bool) "both domains see the reference rows" true
+            (Array.for_all
+               (fun rows -> tables_identical reference (Table.of_rows schema rows))
+               seen))
+        [ 1; 2; 3; 4 ])
+
 (* --- logical plans and the optimizer --- *)
 
 let star_catalog ?(orders_n = 300) ?(customers_n = 40) ?(regions_n = 5) seed =
@@ -1417,6 +1589,12 @@ let () =
           Alcotest.test_case "pipeline" `Quick test_query_pipeline;
           Alcotest.test_case "join+compute" `Quick test_query_join_compute;
         ] );
+      ( "table",
+        [
+          Alcotest.test_case "rows and columns agree" `Quick test_table_two_forms;
+          Alcotest.test_case "of_columns validates" `Quick test_of_columns_validation;
+          Alcotest.test_case "forcing across domains" `Quick test_table_force_across_domains;
+        ] );
       ( "plan",
         [
           Alcotest.test_case "execute" `Quick test_plan_execute;
@@ -1435,5 +1613,6 @@ let () =
           [ prop_select_conjunction; prop_join_count; prop_distinct_idempotent;
             prop_expr_total; prop_optimize_preserves_semantics;
             prop_columnar_matches_algebra; prop_columnar_join_mixed_keys;
-            prop_packed_matches_boxed; prop_float_sort_perm; prop_plan_execute_bit_identity ] );
+            prop_packed_matches_boxed; prop_float_sort_perm; prop_plan_execute_bit_identity;
+            prop_query_matches_algebra ] );
     ]
