@@ -30,7 +30,12 @@ type result = {
   bundle_build : timing;  (** Bundle.of_stochastic_table *)
   interp_query : timing;  (** Bundle.query ~impl:`Interpreter *)
   kernel_query : timing;  (** Bundle.query ~impl:`Kernel *)
-  identical : bool;  (** all three sample sets bit-identical *)
+  kernel_select : timing;  (** the plan's Bundle.select sweep alone *)
+  kernel_extend : timing;  (** its Bundle.extend sweep, over the selection *)
+  kernel_aggregate : timing;  (** its Bundle.aggregate sweep, over the extension *)
+  identical : bool;
+      (** all three sample sets bit-identical, and the three separate
+          kernel sweeps agree with the fused query *)
 }
 
 val run : ?domains:int -> rows:int -> reps:int -> seed:int -> unit -> result
@@ -48,4 +53,5 @@ val print : result -> unit
 
 val emit : ?file:string -> ?domains:int -> seed:int -> result -> string
 (** Append one entry to [BENCH_bundle.json] (via {!Mde_bench_emit});
-    returns the path written. *)
+    returns the path written. Every timing is also reported as cells
+    (rows × reps) per second, the separate kernel sweeps included. *)

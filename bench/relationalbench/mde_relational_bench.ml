@@ -22,9 +22,11 @@ type keyed_result = {
 
 type result = {
   rows : int;
+  selected : int;
   row_path : path;
   interp_path : path;
   kernel_path : path;
+  kernel_group_pooled : timing option;
   identical : bool;
   keyed : keyed_result;
 }
@@ -269,11 +271,35 @@ let run ?(domains = 1) ~rows ~seed () =
       let row_out, row_path = twice (fun () -> run_rows table) in
       let interp_out, interp_path = twice (fun () -> run_columnar ~impl:`Interpreter c) in
       let kernel_out, kernel_path = twice (fun () -> run_columnar ?pool ~impl:`Kernel c) in
+      (* The pipeline's group_by runs sequentially, like the
+         interpreter's; its pooled form is timed on its own. *)
+      let extended = Columnar.extend defs (Columnar.select pred c) in
+      let pooled_group =
+        Option.map
+          (fun p ->
+            let go () = timed (fun () -> Columnar.group_by ~pool:p ~keys ~aggs extended) in
+            Gc.full_major ();
+            let out, a = go () in
+            let _, b = go () in
+            (Columnar.to_table out, min_timing a b))
+          pool
+      in
       let identical =
-        tables_identical row_out interp_out && tables_identical row_out kernel_out
+        tables_identical row_out interp_out
+        && tables_identical row_out kernel_out
+        && Option.fold ~none:true ~some:(fun (out, _) -> tables_identical row_out out) pooled_group
       in
       let keyed = run_keyed ~domains ~rows ~seed in
-      { rows; row_path; interp_path; kernel_path; identical; keyed })
+      {
+        rows;
+        selected = Columnar.row_count extended;
+        row_path;
+        interp_path;
+        kernel_path;
+        kernel_group_pooled = Option.map snd pooled_group;
+        identical;
+        keyed;
+      })
 
 let total p = p.select_t.seconds +. p.extend_t.seconds +. p.group_t.seconds
 let total_alloc p =
@@ -290,6 +316,26 @@ let alloc_reduction_vs_interp r =
   let k = total_alloc r.kernel_path in
   if k > 0. then total_alloc r.interp_path /. k else infinity
 
+(* Per-stage figures. A stage's throughput counts the rows it reads (the
+   select reads every input row, extend and group_by the survivors);
+   its allocation is charged per pipeline input row, so the three
+   stages' bytes add up to the path's. *)
+let stage_rows r = function `Select -> r.rows | `Extend | `Group -> r.selected
+
+let stage_timing p = function
+  | `Select -> p.select_t
+  | `Extend -> p.extend_t
+  | `Group -> p.group_t
+
+let stage_cells_per_second r p stage =
+  let t = (stage_timing p stage).seconds in
+  if t > 0. then float_of_int (stage_rows r stage) /. t else infinity
+
+let stage_bytes_per_row r p stage =
+  (stage_timing p stage).alloc_bytes /. float_of_int (max 1 r.rows)
+
+let stages = [ (`Select, "select"); (`Extend, "extend"); (`Group, "group") ]
+
 let print r =
   let line label p =
     Printf.printf "  %-18s %10.4f s  %12.3g rows/s  %14.3g bytes\n" label (total p)
@@ -304,6 +350,17 @@ let print r =
     (speedup_vs_interp r)
     (alloc_reduction_vs_interp r);
   Printf.printf "  kernel vs row algebra: %.1fx throughput\n" (speedup_vs_rows r);
+  List.iter
+    (fun (stage, name) ->
+      Printf.printf "  kernel %-6s %12.3g cells/s  %8.1f bytes per input row\n" name
+        (stage_cells_per_second r r.kernel_path stage)
+        (stage_bytes_per_row r r.kernel_path stage))
+    stages;
+  Option.iter
+    (fun t ->
+      Printf.printf "  kernel group pooled %10.4f s (sequential %.4f s)\n" t.seconds
+        r.kernel_path.group_t.seconds)
+    r.kernel_group_pooled;
   Printf.printf "  outputs bit-identical across all three engines: %b\n\n" r.identical;
   print_keyed r.keyed
 
@@ -312,14 +369,44 @@ let print r =
    it replaced managed 2.2-3.2x. The floor keeps about 2x of margin. *)
 let order_floor = 8.
 
+(* Kernel-path allocation per pipeline input row, by stage. Allocation
+   counts are deterministic where timings on a 2-vCPU runner are not,
+   so these are bounded too. Measured at 20k and 200k rows, 1 and 2
+   domains: select 10.0-10.1 B/row (the selection flags and the gathered
+   survivors), extend under 0.01 (the output lands in a malloc'd
+   bigarray), group_by 7.1-7.9 (the group ids and per-group state). The
+   bounds keep about 2x of margin. A stage may also spend a fixed
+   [alloc_allowance] per call (the compiled environment, one chunk's
+   scratch), which dominates at smoke sizes: extend measured 1.6 B/row
+   at 500 rows. *)
+let alloc_bounds = [ (`Select, 20.); (`Extend, 2.); (`Group, 16.) ]
+let alloc_allowance = 65536.
+
+let over_alloc_bound r stage bound =
+  (stage_timing r.kernel_path stage).alloc_bytes
+  > (bound *. float_of_int r.rows) +. alloc_allowance
+
 let gate r =
   let g = op_speedup r.keyed.group_op and j = op_speedup r.keyed.join_op in
   let o = op_speedup r.keyed.order_op in
+  let over_alloc =
+    List.find_opt (fun (stage, bound) -> over_alloc_bound r stage bound) alloc_bounds
+  in
   if not r.identical then Error "row algebra, interpreter and kernel disagree"
   else if speedup_vs_interp r < 3. then
     Error
       (Printf.sprintf "kernel speedup %.1fx below the 3x acceptance floor"
          (speedup_vs_interp r))
+  else if over_alloc <> None then begin
+    let stage, bound = Option.get over_alloc in
+    Error
+      (Printf.sprintf
+         "kernel %s allocates %.1f bytes per input row, over the %.0f bound (plus %.0f \
+          bytes per call)"
+         (List.assoc stage stages)
+         (stage_bytes_per_row r r.kernel_path stage)
+         bound alloc_allowance)
+  end
   else if not r.keyed.kidentical then
     Error "packed, boxed and pooled keyed operators disagree"
   else if g < 2. || j < 2. then
@@ -366,9 +453,18 @@ let emit ?(file = "BENCH_relational.json") ?(domains = 1) ~seed r =
       (prefix ^ "_alloc_bytes", Float (total_alloc p));
       (prefix ^ "_rows_per_s", Float (rows_per_second r p));
     ]
+    @ List.concat_map
+        (fun (stage, name) ->
+          [
+            (prefix ^ "_" ^ name ^ "_cells_per_s", Float (stage_cells_per_second r p stage));
+            ( prefix ^ "_" ^ name ^ "_alloc_bytes_per_row",
+              Float (stage_bytes_per_row r p stage) );
+          ])
+        stages
   in
   append ~file ~name:"relational-columnar"
-    ([ ("rows", Int r.rows); ("seed", Int seed); ("domains", Int domains) ]
+    ([ ("rows", Int r.rows); ("selected", Int r.selected); ("seed", Int seed);
+       ("domains", Int domains) ]
     @ path_fields "row" r.row_path
     @ path_fields "interp" r.interp_path
     @ path_fields (Impl.to_string `Kernel) r.kernel_path
@@ -377,6 +473,10 @@ let emit ?(file = "BENCH_relational.json") ?(domains = 1) ~seed r =
         ("kernel_speedup_vs_rows", Float (speedup_vs_rows r));
         ("kernel_alloc_reduction_vs_interp", Float (alloc_reduction_vs_interp r));
         ("identical_output", Bool r.identical);
-      ])
+      ]
+    @
+    match r.kernel_group_pooled with
+    | Some t -> [ ("kernel_group_pooled_s", Float t.seconds) ]
+    | None -> [])
   |> ignore;
   emit_keyed ~file ~domains ~seed r.keyed

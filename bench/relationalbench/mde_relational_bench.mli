@@ -53,22 +53,32 @@ type keyed_result = {
 
 type result = {
   rows : int;
+  selected : int;  (** rows the select keeps: what extend and group_by read *)
   row_path : path;  (** legacy row {!Mde.Relational.Algebra} *)
   interp_path : path;  (** columnar, [~impl:`Interpreter] *)
   kernel_path : path;  (** columnar, [~impl:`Kernel] *)
+  kernel_group_pooled : timing option;
+      (** the kernel group_by stage on the domain pool (best of two);
+          [None] without one. The pipeline's own group_by is sequential,
+          as the interpreter's is. *)
   identical : bool;  (** all three final tables bit-identical *)
   keyed : keyed_result;  (** the keyed-operator race on the same row count *)
 }
 
 val run : ?domains:int -> rows:int -> seed:int -> unit -> result
 (** Execute the pipeline race, then the keyed-operator race. [domains]
-    > 1 runs the kernel select/extend stages and the pooled keyed
-    operators over a shared domain pool; results stay bit-identical. *)
+    > 1 runs the kernel select/extend stages, a separately timed pooled
+    kernel group_by, and the pooled keyed operators over a shared domain
+    pool; results stay bit-identical. *)
 
 val gate : result -> (unit, string) Result.t
 (** The acceptance gate shared by the bench harness, [mde_cli
     relational-bench] and CI: the three pipeline engines bit-identical,
     the kernel pipeline at least 3x the interpreter's throughput, the
+    kernel select, extend and group_by stages each under their bound on
+    bytes allocated per input row plus a fixed per-call allowance
+    ([Gc.allocated_bytes], deterministic where timings on a small runner
+    are not), the
     packed, boxed and pooled keyed operators bit-identical, packed
     group_by and equi_join each at least 2x their boxed twins, and the
     radix order_by at least 8x its comparator twin. [Error] carries a
@@ -80,4 +90,6 @@ val print : result -> unit
 val emit : ?file:string -> ?domains:int -> seed:int -> result -> string
 (** Append a "relational-columnar" and a "relational-keycode" entry to
     [BENCH_relational.json] (via {!Mde_bench_emit}); returns the path
-    written. *)
+    written. The columnar entry carries, per path and stage, the rows
+    read per second ([<path>_<stage>_cells_per_s]) and the bytes
+    allocated per input row ([<path>_<stage>_alloc_bytes_per_row]). *)

@@ -129,35 +129,37 @@ let interp_det_only t e =
     (fun name -> Column.det t.columns.(Schema.column_index t.schema name))
     (Expr.columns_used e)
 
+let env t = Kernel.env_of_columns t.schema ~reps:t.n_reps t.columns
+
 let select ?pool ?(impl = `Kernel) pred t =
   instrumented ~cells:(t.n_rows * t.n_reps) (fun () ->
       let presence = Bitset.copy t.presence in
+      let reps = t.n_reps in
       let compiled =
         match impl with
         | `Interpreter -> None
-        | `Kernel -> begin
-          let env = Kernel.env_of_columns t.schema ~reps:t.n_reps t.columns in
-          match Kernel.compile env pred with
-          | Some node -> begin
-            match Kernel.as_pred node with
-            | Some test -> Some (test, Kernel.node_unc node)
-            | None -> None
-          end
-          | None -> None
-        end
+        | `Kernel -> Option.bind (Kernel.compile (env t) pred) Kernel.truth
       in
       begin
         match compiled with
-        | Some (test, unc) ->
-          if not unc then
-            (* One evaluation covers every repetition. *)
-            iter_rows ?pool t.n_rows (fun i ->
-                if not (test i 0) then Bitset.clear_row presence i)
-          else
-            iter_rows ?pool t.n_rows (fun i ->
-                for r = 0 to t.n_reps - 1 do
-                  if Bitset.get presence i r && not (test i r) then
-                    Bitset.unset presence i r
+        | Some node ->
+          let unc = Kernel.node_unc node in
+          Kernel.sweep ?pool ~site:"bundle.blocks" ~rows:t.n_rows ~reps [| node |]
+            (fun insts ->
+              let b = Kernel.bool_block insts.(0) in
+              if not unc then
+                (* One evaluation covers every repetition. *)
+                fun i0 i1 ->
+                  for i = i0 to i1 - 1 do
+                    if Bytes.get b.data (b.off + i - i0) = '\000' then
+                      Bitset.clear_row presence i
+                  done
+              else fun i0 i1 ->
+                for i = i0 to i1 - 1 do
+                  let base = b.off + ((i - i0) * reps) in
+                  for r = 0 to reps - 1 do
+                    if Bytes.get b.data (base + r) = '\000' then Bitset.unset presence i r
+                  done
                 done)
         | None ->
           (match impl with `Kernel -> count_fallbacks 1 | `Interpreter -> ());
@@ -190,7 +192,7 @@ let extend ?pool ?(impl = `Kernel) defs t =
   let added = Schema.of_list (List.map (fun (n, ty, _) -> (n, ty)) defs) in
   let out_schema = Schema.concat t.schema added in
   instrumented ~cells:(t.n_rows * t.n_reps * List.length defs) (fun () ->
-      let env = Kernel.env_of_columns t.schema ~reps:t.n_reps t.columns in
+      let env = env t in
       let new_cols =
         List.map
           (fun (_, ty, e) ->
@@ -267,11 +269,17 @@ type group_state = {
 }
 
 type def_eval = D_node of Kernel.node | D_interp of Expr.t
-type pred_eval = P_none | P_cell of (int -> int -> bool) | P_interp of Expr.t
-type agg_eval = A_count | A_cell of Kernel.cell | A_interp of Expr.t
+(* An aggregate's argument over a run of rows: cell (i, r) of rows from
+   [i0] sits at [vo + (i - i0) * st + r] of [v] ([r] dropped when [st =
+   1], a deterministic argument), with its null flag at the same place
+   from [no] in [nb]. *)
+type src = { v : Column.floats; vo : int; nb : Bytes.t; no : int; st : int }
+type pred_eval = P_none | P_node of Kernel.node | P_interp of Expr.t
+type agg_eval = A_count | A_node of Kernel.node | A_interp of Expr.t
 
 let fused ?pool ~impl t ~pred ~defs ~keys ~aggs =
   let key_cols = det_keys_exn t keys in
+  let reps = t.n_reps in
   let ext_schema =
     match defs with
     | [] -> t.schema
@@ -281,7 +289,7 @@ let fused ?pool ~impl t ~pred ~defs ~keys ~aggs =
   in
   let kernel = match impl with `Kernel -> true | `Interpreter -> false in
   let fallbacks = ref 0 in
-  let env = Kernel.env_of_columns t.schema ~reps:t.n_reps t.columns in
+  let env = env t in
   let def_evals =
     List.map
       (fun (name, _, e) ->
@@ -305,8 +313,8 @@ let fused ?pool ~impl t ~pred ~defs ~keys ~aggs =
     | None -> P_none
     | Some p ->
       if kernel then begin
-        match Option.bind (Kernel.compile env p) Kernel.as_pred with
-        | Some test -> P_cell test
+        match Option.bind (Kernel.compile env p) Kernel.truth with
+        | Some node -> P_node node
         | None ->
           incr fallbacks;
           P_interp p
@@ -321,8 +329,8 @@ let fused ?pool ~impl t ~pred ~defs ~keys ~aggs =
            | Count -> A_count
            | Sum e | Avg e | Min e | Max e ->
              if kernel then begin
-               match Option.bind (Kernel.compile env' e) Kernel.as_float_cell with
-               | Some cell -> A_cell cell
+               match Option.bind (Kernel.compile env' e) Kernel.numeric with
+               | Some node -> A_node node
                | None ->
                  incr fallbacks;
                  A_interp e
@@ -331,34 +339,39 @@ let fused ?pool ~impl t ~pred ~defs ~keys ~aggs =
          aggs)
   in
   if kernel then count_fallbacks !fallbacks;
-  (* Extended-schema row for interpreted aggregate arguments. *)
+  (* Interpreted aggregate arguments read the extended row; compiled
+     derived columns are materialized for them once, up front. *)
+  let derived =
+    if Array.exists (function A_interp _ -> true | A_count | A_node _ -> false) agg_evals
+    then
+      List.map
+        (function
+          | _, D_node node -> `Col (Kernel.materialize ~rows:t.n_rows ~reps node)
+          | _, D_interp e -> `Expr e)
+        def_evals
+    else []
+  in
   let ext_row i r =
     let base = realize_row t i r in
-    match def_evals with
+    match derived with
     | [] -> base
     | _ ->
       Array.append base
         (Array.of_list
            (List.map
               (function
-                | _, D_node node -> Kernel.node_value node i r
-                | _, D_interp e -> Expr.eval t.schema base e)
-              def_evals))
-  in
-  let pass =
-    match pred_eval with
-    | P_none -> fun _ _ -> true
-    | P_cell test -> test
-    | P_interp p -> fun i r -> Expr.eval_bool t.schema (realize_row t i r) p
+                | `Col c -> Column.value c i r
+                | `Expr e -> Expr.eval t.schema base e)
+              derived))
   in
   let n_aggs = Array.length agg_evals in
   let fresh () =
     {
-      counts = Array.make t.n_reps 0;
-      sums = Array.init n_aggs (fun _ -> Array.make t.n_reps 0.);
-      mins = Array.init n_aggs (fun _ -> Array.make t.n_reps infinity);
-      maxs = Array.init n_aggs (fun _ -> Array.make t.n_reps neg_infinity);
-      agg_counts = Array.init n_aggs (fun _ -> Array.make t.n_reps 0);
+      counts = Array.make reps 0;
+      sums = Array.init n_aggs (fun _ -> Array.make reps 0.);
+      mins = Array.init n_aggs (fun _ -> Array.make reps infinity);
+      maxs = Array.init n_aggs (fun _ -> Array.make reps neg_infinity);
+      agg_counts = Array.init n_aggs (fun _ -> Array.make reps 0);
     }
   in
   (* Group ids in first-seen order; each group's key values are read
@@ -369,91 +382,166 @@ let fused ?pool ~impl t ~pred ~defs ~keys ~aggs =
   (* A global aggregate over no rows still reports its one group. *)
   let n_groups = if keys = [] then max 1 (Array.length firsts) else Array.length firsts in
   let states = Array.init n_groups (fun _ -> fresh ()) in
-  let state_for i = states.(ids.(i)) in
-  let accumulate state a r x =
-    state.sums.(a).(r) <- state.sums.(a).(r) +. x;
-    if x < state.mins.(a).(r) then state.mins.(a).(r) <- x;
-    if x > state.maxs.(a).(r) then state.maxs.(a).(r) <- x;
-    state.agg_counts.(a).(r) <- state.agg_counts.(a).(r) + 1
+  (* The compiled nodes of the sweep: the predicate first, if any, then
+     each compiled aggregate argument; [inst_of.(a)] finds aggregate
+     [a]'s instance. *)
+  let pred_nodes = match pred_eval with P_node n -> [ n ] | P_none | P_interp _ -> [] in
+  let agg_nodes =
+    List.filter_map (function A_node n -> Some n | A_count | A_interp _ -> None)
+      (Array.to_list agg_evals)
+  in
+  let nodes = Array.of_list (pred_nodes @ agg_nodes) in
+  let inst_of =
+    let next = ref (List.length pred_nodes) in
+    Array.map
+      (function
+        | A_node _ ->
+          incr next;
+          !next - 1
+        | A_count | A_interp _ -> -1)
+      agg_evals
+  in
+  (* [fill_pass insts pass base i0 i1]: byte [base + (i - i0) * reps + r]
+     of [pass] becomes 1 when cell (i, r) is present and passes the
+     predicate. Compiled nodes were evaluated over the whole block — they
+     are total — and the flags mask what the accumulation reads. *)
+  let fill_pass insts pass base i0 i1 =
+    Bitset.unpack t.presence i0 i1 pass base;
+    match pred_eval with
+    | P_none -> ()
+    | P_node _ ->
+      let inst = insts.(0) in
+      let b = Kernel.bool_block inst in
+      let st = inst.Kernel.stride in
+      for i = i0 to i1 - 1 do
+        let k0 = base + ((i - i0) * reps) and s0 = b.off + ((i - i0) * st) in
+        for r = 0 to reps - 1 do
+          let s = if st = 1 then s0 else s0 + r in
+          Bytes.set pass (k0 + r)
+            (Char.unsafe_chr (Char.code (Bytes.get pass (k0 + r)) land Char.code (Bytes.get b.data s)))
+        done
+      done
+    | P_interp p ->
+      for i = i0 to i1 - 1 do
+        for r = 0 to reps - 1 do
+          let k = base + ((i - i0) * reps) + r in
+          if Bytes.get pass k = '\001' && not (Expr.eval_bool t.schema (realize_row t i r) p)
+          then Bytes.set pass k '\000'
+        done
+      done
+  in
+  (* An interpreted argument, evaluated only where the cell passes (a
+     string argument raises from [Value.to_float] there, as the row
+     oracle does), into block scratch [vals]/[nulls] at stride [reps]. *)
+  let fill_interp e pass pbase vals nulls i0 i1 =
+    for i = i0 to i1 - 1 do
+      for r = 0 to reps - 1 do
+        let j = ((i - i0) * reps) + r in
+        let v =
+          if Bytes.get pass (pbase + j) = '\001' then Expr.eval ext_schema (ext_row i r) e
+          else Value.Null
+        in
+        if Value.is_null v then Bytes.set nulls j '\001'
+        else begin
+          Bytes.set nulls j '\000';
+          Bigarray.Array1.set vals j (Value.to_float v)
+        end
+      done
+    done
+  in
+  (* Accumulation goes column by column: the pass counts, then each
+     aggregate over its source. Every (group, aggregate, rep)
+     accumulator sees its cells in row order, so sums come out
+     bit-identical to a cell-at-a-time sweep, and aggregates touch
+     disjoint state. *)
+  let count_passes pass pbase i0 i1 =
+    for i = i0 to i1 - 1 do
+      let counts = states.(ids.(i)).counts and k0 = pbase + ((i - i0) * reps) in
+      for r = 0 to reps - 1 do
+        counts.(r) <- counts.(r) + Char.code (Bytes.get pass (k0 + r))
+      done
+    done
+  in
+  let accumulate a { v; vo; nb; no; st } pass pbase i0 i1 =
+    for i = i0 to i1 - 1 do
+      let state = states.(ids.(i)) in
+      let sums = state.sums.(a) and mins = state.mins.(a) in
+      let maxs = state.maxs.(a) and n = state.agg_counts.(a) in
+      let k0 = pbase + ((i - i0) * reps) and s0 = (i - i0) * st in
+      for r = 0 to reps - 1 do
+        let s = if st = 1 then s0 else s0 + r in
+        if Bytes.get pass (k0 + r) = '\001' && Bytes.get nb (no + s) = '\000' then begin
+          let x = Bigarray.Array1.get v (vo + s) in
+          sums.(r) <- sums.(r) +. x;
+          if x < mins.(r) then mins.(r) <- x;
+          if x > maxs.(r) then maxs.(r) <- x;
+          n.(r) <- n.(r) + 1
+        end
+      done
+    done
+  in
+  let cap = min t.n_rows (Kernel.block_rows ~reps) * reps in
+  (* Aggregate [a]'s source for the block just run: a compiled argument
+     is read in place, an interpreted one evaluated into [scratch]. *)
+  let source a (insts : Kernel.inst array) inst_a scratch zeros pass pbase i0 i1 =
+    match agg_evals.(a) with
+    | A_count -> None
+    | A_node _ ->
+      let inst = insts.(inst_a) in
+      let b = Kernel.float_block inst in
+      let nb, no =
+        match inst.Kernel.nulls with Some n -> (n.data, n.off) | None -> (zeros, 0)
+      in
+      Some { v = b.data; vo = b.off; nb; no; st = inst.Kernel.stride }
+    | A_interp e ->
+      let vals, nulls = Option.get scratch in
+      fill_interp e pass pbase vals nulls i0 i1;
+      Some { v = vals; vo = 0; nb = nulls; no = 0; st = reps }
+  in
+  let scratch a =
+    match agg_evals.(a) with
+    | A_interp _ ->
+      Some (Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout cap, Bytes.create cap)
+    | A_count | A_node _ -> None
   in
   begin
     match pool with
     | None ->
-      (* Single fused sweep: test, derive and accumulate per cell. *)
-      for i = 0 to t.n_rows - 1 do
-        let state = state_for i in
-        for r = 0 to t.n_reps - 1 do
-          if Bitset.get t.presence i r && pass i r then begin
-            state.counts.(r) <- state.counts.(r) + 1;
+      (* One fused sweep: each block is evaluated, then accumulated. *)
+      Kernel.sweep ~site:"bundle.blocks" ~rows:t.n_rows ~reps nodes (fun insts ->
+          let pass = Bytes.create cap and zeros = Bytes.make cap '\000' in
+          let scratch = Array.init n_aggs scratch in
+          fun i0 i1 ->
+            fill_pass insts pass 0 i0 i1;
+            count_passes pass 0 i0 i1;
             Array.iteri
-              (fun a ev ->
-                match ev with
-                | A_count -> ()
-                | A_cell cell ->
-                  if not (cell.Kernel.null i r) then
-                    accumulate state a r (cell.Kernel.value i r)
-                | A_interp e ->
-                  let v = Expr.eval ext_schema (ext_row i r) e in
-                  if not (Value.is_null v) then accumulate state a r (Value.to_float v))
-              agg_evals
-          end
-        done
-      done
+              (fun a _ ->
+                Option.iter
+                  (fun src -> accumulate a src pass 0 i0 i1)
+                  (source a insts inst_of.(a) scratch.(a) zeros pass 0 i0 i1))
+              agg_evals)
     | Some _ ->
-      (* Two-phase parallel: evaluate cells row-chunked into scratch,
-         then replay the accumulation sequentially in row order — float
-         addition is order-sensitive, so the replay keeps grouped sums
-         bit-identical to the sequential sweep. *)
-      let pass_bits = Bitset.create ~rows:t.n_rows ~reps:t.n_reps false in
-      let scratch =
-        Array.map
-          (function
-            | A_count -> None
-            | A_cell _ | A_interp _ ->
-              Some
-                ( Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout
-                    (max 1 (t.n_rows * t.n_reps)),
-                  Bitset.create ~rows:t.n_rows ~reps:t.n_reps false ))
-          agg_evals
-      in
-      iter_rows ?pool t.n_rows (fun i ->
-          for r = 0 to t.n_reps - 1 do
-            if Bitset.get t.presence i r && pass i r then begin
-              Bitset.set pass_bits i r;
-              Array.iteri
-                (fun a ev ->
-                  match (ev, scratch.(a)) with
-                  | A_count, _ | _, None -> ()
-                  | A_cell cell, Some (vals, skips) ->
-                    if cell.Kernel.null i r then Bitset.set skips i r
-                    else
-                      Bigarray.Array1.set vals ((i * t.n_reps) + r)
-                        (cell.Kernel.value i r)
-                  | A_interp e, Some (vals, skips) ->
-                    let v = Expr.eval ext_schema (ext_row i r) e in
-                    if Value.is_null v then Bitset.set skips i r
-                    else
-                      Bigarray.Array1.set vals ((i * t.n_reps) + r) (Value.to_float v))
-                agg_evals
-            end
-          done);
-      for i = 0 to t.n_rows - 1 do
-        let state = state_for i in
-        for r = 0 to t.n_reps - 1 do
-          if Bitset.get pass_bits i r then begin
-            state.counts.(r) <- state.counts.(r) + 1;
-            Array.iteri
-              (fun a ev ->
-                match (ev, scratch.(a)) with
-                | A_count, _ | _, None -> ()
-                | (A_cell _ | A_interp _), Some (vals, skips) ->
-                  if not (Bitset.get skips i r) then
-                    accumulate state a r
-                      (Bigarray.Array1.get vals ((i * t.n_reps) + r)))
-              agg_evals
-          end
-        done
-      done
+      (* Pass flags for the whole bundle come from a block-parallel
+         sweep; then the counts and each aggregate run side by side,
+         each sweeping its own argument in row order. *)
+      let pass = Bytes.create (t.n_rows * reps) in
+      Kernel.sweep ?pool ~site:"bundle.blocks" ~rows:t.n_rows ~reps
+        (Array.of_list pred_nodes)
+        (fun insts i0 i1 -> fill_pass insts pass (i0 * reps) i0 i1);
+      Mde_par.Pool.iter ?pool ~site:"bundle.aggs" (n_aggs + 1) (fun task ->
+          if task = n_aggs then count_passes pass 0 0 t.n_rows
+          else
+            let a = task in
+            match agg_evals.(a) with
+            | A_count -> ()
+            | (A_node _ | A_interp _) as ev ->
+              let own = match ev with A_node n -> [| n |] | _ -> [||] in
+              Kernel.sweep ~site:"bundle.blocks" ~rows:t.n_rows ~reps own (fun insts ->
+                  let zeros = Bytes.make cap '\000' and scratch = scratch a in
+                  fun i0 i1 ->
+                    Option.iter
+                      (fun src -> accumulate a src pass (i0 * reps) i0 i1)
+                      (source a insts 0 scratch zeros pass (i0 * reps) i0 i1)))
   end;
   let finish g =
     let state = states.(g) in

@@ -7,8 +7,10 @@
     ({!Column}): float attributes in float64 bigarrays, int/bool in int
     arrays, strings dictionary-encoded, and presence as a packed
     rows × reps bitset with popcount survivor counting. Predicates,
-    computed columns and aggregate arguments are compiled to typed
-    closures ({!Kernel}); expressions the compiler does not cover fall
+    computed columns and aggregate arguments are compiled to block
+    kernels ({!Kernel}) swept over blocks of (row × rep) slots, with
+    deterministic operands evaluated once per row and broadcast across
+    repetitions; expressions the compiler does not cover fall
     back to the {!Mde_relational.Expr} interpreter per expression, with
     identical results (fallbacks are counted on
     [mde_bundle_fallback_total] when a live {!Mde_obs} registry is
@@ -72,9 +74,9 @@ val present : t -> int -> int -> bool
 val select : ?pool:Mde_par.Pool.t -> ?impl:impl -> Expr.t -> t -> t
 (** Narrow presence by the predicate, sweeping the repetition axis with
     a compiled kernel (deterministic predicates evaluate once per
-    tuple). [?pool] chunks rows over the domain pool; each row's
-    presence bits start on a byte boundary, so chunks write disjoint
-    bytes and the result is bit-identical. *)
+    tuple). [?pool] chunks blocks of whole rows over the domain pool;
+    each row's presence bits start on a byte boundary, so chunks write
+    disjoint bytes and the result is bit-identical. *)
 
 val project : string list -> t -> t
 
@@ -115,9 +117,10 @@ val aggregate :
     order; [?keys] defaults to none, i.e. one global group) and each
     named aggregate, the per-repetition aggregate values
     (array of length [n_reps]). Empty groups in a repetition yield [nan]
-    for Avg/Min/Max and 0 for Count/Sum. With [?pool], evaluation is
-    row-chunked and the accumulation replayed in row order, so grouped
-    sums are bit-identical to the sequential pass. *)
+    for Avg/Min/Max and 0 for Count/Sum. With [?pool], the predicate's
+    pass flags are swept block-parallel and the aggregates then run side
+    by side, each accumulating in row order, so grouped sums are
+    bit-identical to the sequential pass. *)
 
 type plan = {
   where_ : Expr.t option;  (** selection over the base schema *)
@@ -140,7 +143,7 @@ val query :
   plan ->
   (Table.row * float array array) list
 (** Run a plan in one fused pass: no intermediate bundle is
-    materialized and presence is not rewritten — each cell is tested,
+    materialized and presence is not rewritten — each block is tested,
     derived and accumulated in a single sweep. Result is exactly
     [aggregate ~keys (select |> extend)] on the same bundle (asserted in
     tests, bit for bit). Group keys naming derived columns force the

@@ -492,7 +492,7 @@ let parallel_init pool ?(site = "default") ?chunk n f =
         out
   end
 
-let parallel_iter pool ?(site = "default") ?chunk n f =
+let parallel_iter_ranges pool ?(site = "default") ?chunk n f =
   if n < 0 then invalid_arg "Pool.parallel_iter: negative length";
   (match chunk with
   | Some c when c < 1 -> invalid_arg "Pool.parallel_iter: chunk must be >= 1"
@@ -502,9 +502,7 @@ let parallel_iter pool ?(site = "default") ?chunk n f =
     let s = find_site pool site in
     let sequential () =
       let t0 = Mde_obs.Clock.wall () in
-      for i = 0 to n - 1 do
-        f i
-      done;
+      f 0 n;
       let dt = Mde_obs.Clock.wall () -. t0 in
       Mutex.lock pool.mutex;
       pool.seq_batches <- pool.seq_batches + 1;
@@ -528,14 +526,16 @@ let parallel_iter pool ?(site = "default") ?chunk n f =
         if pool.metrics.obs_on then
           Mde_obs.Gauge.set s.site_chunk (float_of_int chunk);
         (* Pure side-effect fan-out: no result array is allocated — the
-           caller's [f] writes wherever it writes. This is the fill shape
-           the columnar engine uses ([flags.(i) <- ...], bigarray slots),
-           which used to pay a throwaway [unit array] per pooled sweep. *)
-        parallel_chunks pool s ~n ~chunk (fun lo hi ->
-            for i = lo to hi - 1 do
-              f i
-            done)
+           caller's [f] writes wherever it writes, one call per chunk,
+           so per-chunk set-up (scratch buffers) is paid once a chunk. *)
+        parallel_chunks pool s ~n ~chunk f
   end
+
+let parallel_iter pool ?site ?chunk n f =
+  parallel_iter_ranges pool ?site ?chunk n (fun lo hi ->
+      for i = lo to hi - 1 do
+        f i
+      done)
 
 let parallel_map pool ?site ?chunk f a =
   parallel_init pool ?site ?chunk (Array.length a) (fun i -> f a.(i))
@@ -553,6 +553,11 @@ let iter ?pool ?site n f =
       f i
     done
   | Some p -> parallel_iter p ?site n f
+
+let iter_ranges ?pool ?site n f =
+  match pool with
+  | None -> if n > 0 then f 0 n
+  | Some p -> parallel_iter_ranges p ?site n f
 
 (* --- introspection -------------------------------------------------- *)
 

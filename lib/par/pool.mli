@@ -107,6 +107,15 @@ val init : ?pool:t -> ?site:string -> int -> (int -> 'a) -> 'a array
 val iter : ?pool:t -> ?site:string -> int -> (int -> unit) -> unit
 (** [iter ?pool n f]: {!parallel_iter} or a plain [for] loop. *)
 
+val iter_ranges : ?pool:t -> ?site:string -> int -> (int -> int -> unit) -> unit
+(** [iter_ranges ?pool n f] calls [f lo hi] once per chunk, the chunks
+    partitioning [[0, n)] into contiguous ranges sized as in
+    {!parallel_iter}; without a pool, or for a batch run sequentially, it
+    is the one call [f 0 n] (none when [n = 0]). The fan-out for sweeps
+    that set up per-chunk state — scratch buffers reused across the
+    chunk's items. Each call must touch only state owned by its range.
+    Exceptions and validation behave exactly as {!parallel_iter}. *)
+
 val estimated_item_seconds : t -> site:string -> float option
 (** The pool's current per-item latency estimate for [site] (EWMA of
     measured chunk timings), or [None] before the first measured

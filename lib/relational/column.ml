@@ -67,6 +67,31 @@ module Bitset = struct
            land Char.code (Bytes.get b.bits ((j * b.stride) + byte))))
     done
 
+  (* With [reps = 1] each row is one byte holding 0 or 1 (the bits past
+     [reps] are 0), so a block of rows is a plain byte blit. *)
+  let unpack t i0 i1 dst off =
+    if t.reps = 1 then Bytes.blit t.bits i0 dst off (i1 - i0)
+    else
+      for i = i0 to i1 - 1 do
+        let row = i * t.stride and base = off + ((i - i0) * t.reps) in
+        for r = 0 to t.reps - 1 do
+          Bytes.unsafe_set dst (base + r)
+            (Char.unsafe_chr
+               ((Char.code (Bytes.unsafe_get t.bits (row + (r lsr 3))) lsr (r land 7))
+               land 1))
+        done
+      done
+
+  let pack t i0 i1 src off =
+    if t.reps = 1 then Bytes.blit src off t.bits i0 (i1 - i0)
+    else
+      for i = i0 to i1 - 1 do
+        let base = off + ((i - i0) * t.reps) in
+        for r = 0 to t.reps - 1 do
+          if Bytes.unsafe_get src (base + r) <> '\000' then set t i r
+        done
+      done
+
   let gather_rows t idx =
     let out = create ~rows:(Array.length idx) ~reps:t.reps false in
     Array.iteri
@@ -326,11 +351,17 @@ let value t i r =
 let gather t idx =
   let out_rows = Array.length idx in
   let block = if t.cdet then 1 else t.creps in
-  let gather_int src =
+  (* Plain loops: an [Array.iteri] closure costs a call per row. *)
+  let gather_int (src : int array) =
     let dst = Array.make (out_rows * block) 0 in
     if block = 1 then
-      Array.iteri (fun k i -> Array.unsafe_set dst k (Array.unsafe_get src i)) idx
-    else Array.iteri (fun k i -> Array.blit src (i * block) dst (k * block) block) idx;
+      for k = 0 to out_rows - 1 do
+        Array.unsafe_set dst k (Array.unsafe_get src (Array.unsafe_get idx k))
+      done
+    else
+      for k = 0 to out_rows - 1 do
+        Array.blit src (Array.unsafe_get idx k * block) dst (k * block) block
+      done;
     dst
   in
   let data =
@@ -339,16 +370,12 @@ let gather t idx =
       let dst = Array1.create Bigarray.float64 Bigarray.c_layout (out_rows * block) in
       (* Element loops, not Array1.sub + blit: sub allocates a bigarray
          proxy per call, which dominates a row-at-a-time gather. *)
-      if block = 1 then
-        Array.iteri (fun k i -> Array1.unsafe_set dst k (Array1.unsafe_get a i)) idx
-      else
-        Array.iteri
-          (fun k i ->
-            for r = 0 to block - 1 do
-              Array1.unsafe_set dst ((k * block) + r)
-                (Array1.unsafe_get a ((i * block) + r))
-            done)
-          idx;
+      for k = 0 to out_rows - 1 do
+        let i = Array.unsafe_get idx k in
+        for r = 0 to block - 1 do
+          Array1.unsafe_set dst ((k * block) + r) (Array1.unsafe_get a ((i * block) + r))
+        done
+      done;
       Floats dst
     | Ints a -> Ints (gather_int a)
     | Bools a -> Bools (gather_int a)

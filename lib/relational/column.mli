@@ -49,6 +49,17 @@ module Bitset : sig
       AND of row [i] of [a] and row [j] of [b]. All three must share
       [reps]. The join's presence conjunction, one byte at a time. *)
 
+  val unpack : t -> int -> int -> Bytes.t -> int -> unit
+  (** [unpack t i0 i1 dst off]: the bits of rows [[i0, i1)] as 0/1
+      bytes, bit [(i, r)] at byte [off + (i - i0) * reps + r] of [dst] —
+      the null flags or presence of one kernel block. *)
+
+  val pack : t -> int -> int -> Bytes.t -> int -> unit
+  (** [pack t i0 i1 src off], the inverse of {!unpack} from byte [off]
+      of [src] (bytes 0 or 1): rows [[i0, i1)] must still be clear when
+      [reps > 1]. Rows own whole bytes, so blocks of distinct rows pack
+      in parallel. *)
+
   val gather_rows : t -> int array -> t
   (** New bitset whose row [k] is row [idx.(k)] of the input. *)
 end

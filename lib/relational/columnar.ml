@@ -28,9 +28,24 @@ let row t i = Array.map (fun c -> Column.value c i 0) t.cols
 let to_table t = Table.of_columns t.tschema ~n_rows:t.n_rows t.cols
 let env t = Kernel.env_of_columns t.tschema ~reps:1 t.cols
 
-(* Row-chunked parallel fill over disjoint per-row slots: bit-identical
-   to the sequential loop (same argument as [Kernel.materialize]). *)
-let fill_rows ?pool ~site n f = Mde_par.Pool.iter ?pool ~site n f
+(* Under [`Kernel], an expression the compiler does not cover drops to
+   the row interpreter; each drop is counted, by operator, on the live
+   registry, so a missed fast path shows up in the metrics. *)
+let count_fallback op =
+  let obs = Mde_obs.default () in
+  if Mde_obs.enabled obs then
+    Mde_obs.Counter.incr
+      (Mde_obs.counter obs
+         ~help:"Columnar operator work answered by the row interpreter"
+         ~labels:[ ("op", op) ] "mde_relational_fallback_total")
+
+let compiled ~op (impl : impl) compile =
+  match impl with
+  | `Interpreter -> None
+  | `Kernel ->
+    let node = compile () in
+    if Option.is_none node then count_fallback op;
+    node
 
 let gather t idx =
   {
@@ -39,30 +54,41 @@ let gather t idx =
     cols = Array.map (fun c -> Column.gather c idx) t.cols;
   }
 
+(* Indices of the rows flagged 1, in row order. Branch-free: each row is
+   written at the next free index, which only a kept row advances; the
+   loop stops once every kept row is placed, so no write overruns. *)
+let selection flags n =
+  let keep = ref 0 in
+  for i = 0 to n - 1 do
+    keep := !keep + Char.code (Bytes.unsafe_get flags i)
+  done;
+  let keep = !keep in
+  let idx = Array.make keep 0 in
+  let k = ref 0 and i = ref 0 in
+  while !k < keep do
+    Array.unsafe_set idx !k !i;
+    k := !k + Char.code (Bytes.unsafe_get flags !i);
+    incr i
+  done;
+  idx
+
 let select ?pool ?(impl = (`Kernel : impl)) pred t =
-  let test =
-    let compiled =
-      match impl with
-      | `Interpreter -> None
-      | `Kernel -> Option.bind (Kernel.compile (env t) pred) Kernel.as_pred
-    in
-    match compiled with
-    | Some p -> fun i -> p i 0
-    | None -> fun i -> Expr.eval_bool t.tschema (row t i) pred
-  in
-  let flags = Array.make t.n_rows false in
-  fill_rows ?pool ~site:"columnar.select" t.n_rows (fun i -> flags.(i) <- test i);
-  let n_keep = Array.fold_left (fun n b -> if b then n + 1 else n) 0 flags in
-  let idx = Array.make n_keep 0 in
-  let k = ref 0 in
-  Array.iteri
-    (fun i b ->
-      if b then begin
-        idx.(!k) <- i;
-        incr k
-      end)
-    flags;
-  gather t idx
+  let n = t.n_rows in
+  let flags = Bytes.create n in
+  begin
+    match
+      compiled ~op:"select" impl (fun () -> Option.bind (Kernel.compile (env t) pred) Kernel.truth)
+    with
+    | Some node ->
+      Kernel.sweep ?pool ~site:"columnar.select" ~rows:n ~reps:1 [| node |] (fun insts ->
+          let b = Kernel.bool_block insts.(0) in
+          fun i0 i1 -> Bytes.blit b.data b.off flags i0 (i1 - i0))
+    | None ->
+      Mde_par.Pool.iter ?pool ~site:"columnar.select.rows" n (fun i ->
+          Bytes.unsafe_set flags i
+            (if Expr.eval_bool t.tschema (row t i) pred then '\001' else '\000'))
+  end;
+  gather t (selection flags n)
 
 let project names t =
   let idxs = List.map (Schema.column_index t.tschema) names in
@@ -82,10 +108,7 @@ let extend ?pool ?(impl = (`Kernel : impl)) defs t =
         Expr.eval t.tschema (row t i) e)
   in
   let build (_, ty, e) =
-    let compiled =
-      match impl with `Interpreter -> None | `Kernel -> Kernel.compile kenv e
-    in
-    match compiled with
+    match compiled ~op:"extend" impl (fun () -> Kernel.compile kenv e) with
     | Some node -> Kernel.materialize ?pool ~rows:t.n_rows ~reps:1 node
     | None -> interpret ty e
   in
@@ -123,145 +146,169 @@ let equi_join ?pool ?(packed = true) ~on l r =
 
 (* --- grouped aggregation -------------------------------------------- *)
 
-(* Typed per-group accumulator, one per (group, aggregate). The same
-   shape as Algebra's: count/sum/sum_sq fed in row order so float sums
-   come out bit-identical, min/max kept as boxed values under
-   [Value.compare] with first-of-equals retained. Sum/Avg/Std feeders
-   skip the min/max updates (unobservable through their finishers) to
-   stay unboxed on the hot path. *)
-type kacc = {
-  mutable kcount : int;
-  mutable ksum : float;
-  mutable ksum_sq : float;
-  mutable kvmin : Value.t;
-  mutable kvmax : Value.t;
-}
+(* One aggregate, compiled: given each row's group id and the group
+   count, it sweeps its argument block by block, accumulating unboxed
+   per-group state in row order (float sums are order-sensitive, so
+   this is what keeps them bit-identical to the row oracle), and returns
+   the group's finished value. Aggregates own disjoint state, so the
+   pool runs them side by side. *)
+type feeder = ids:int array -> n_groups:int -> int -> Value.t
 
-let fresh_kacc () =
-  { kcount = 0; ksum = 0.; ksum_sq = 0.; kvmin = Value.Null; kvmax = Value.Null }
+let arg_sweep ~rows node f =
+  Kernel.sweep ~site:"columnar.group" ~rows ~reps:1 [| node |] (fun insts -> f insts.(0))
 
-type feeder = { feed : kacc -> int -> unit; finish : kacc -> Value.t }
+(* A never-null argument reads its null flags from a block of zeros. *)
+let null_flags zeros (inst : Kernel.inst) =
+  match inst.nulls with Some nb -> (nb.data, nb.off) | None -> (zeros, 0)
 
-let finish_count a = Value.Int a.kcount
-let finish_sum a = Value.Float a.ksum
+let zero_flags rows = Bytes.make (min rows Kernel.block_size) '\000'
 
-let finish_avg a =
-  if a.kcount = 0 then Value.Null
-  else Value.Float (a.ksum /. float_of_int a.kcount)
+(* Count, sum and sum of squares, fed as [Algebra]'s accumulator feeds
+   them; the finisher reads what its aggregate needs. *)
+let moments ~rows node finish : feeder =
+ fun ~ids ~n_groups ->
+  let count = Array.make n_groups 0 in
+  let sum = Float.Array.make n_groups 0. and sum_sq = Float.Array.make n_groups 0. in
+  let zeros = zero_flags rows in
+  arg_sweep ~rows node (fun inst ->
+      let b = Kernel.float_block inst in
+      fun i0 i1 ->
+        let d = b.data and o = b.off - i0 in
+        let nd, no = null_flags zeros inst in
+        let no = no - i0 in
+        for i = i0 to i1 - 1 do
+          if Bytes.unsafe_get nd (no + i) = '\000' then begin
+            let x = Bigarray.Array1.unsafe_get d (o + i) and g = Array.unsafe_get ids i in
+            Array.unsafe_set count g (Array.unsafe_get count g + 1);
+            Float.Array.unsafe_set sum g (Float.Array.unsafe_get sum g +. x);
+            Float.Array.unsafe_set sum_sq g (Float.Array.unsafe_get sum_sq g +. (x *. x))
+          end
+        done);
+  fun g -> finish count.(g) (Float.Array.get sum g) (Float.Array.get sum_sq g)
 
-let finish_std a =
-  if a.kcount < 2 then Value.Null
+let finish_sum _ sum _ = Value.Float sum
+let finish_avg n sum _ = if n = 0 then Value.Null else Value.Float (sum /. float_of_int n)
+
+let finish_std n sum sum_sq =
+  if n < 2 then Value.Null
   else begin
-    let n = float_of_int a.kcount in
-    let var = (a.ksum_sq -. (a.ksum *. a.ksum /. n)) /. (n -. 1.) in
+    let n = float_of_int n in
+    let var = (sum_sq -. (sum *. sum /. n)) /. (n -. 1.) in
     Value.Float (sqrt (Float.max var 0.))
   end
 
-(* Pooled aggregation is two-phase, like Bundle's pooled sweeps: the
-   per-row source values are evaluated row-chunked into a flat scratch
-   buffer (each row owns its slot), then the order-sensitive
-   accumulation replays from the scratch sequentially in row order — so
-   the pooled result is the sequential result bit for bit. *)
+(* Min/Max under [Value.compare] ([Float.compare] for floats: NaN lowest,
+   -0. equal to 0.), a strict test so the first of equals is kept —
+   exactly the row oracle's boxed update, on unboxed state. [sign] is -1
+   for Min, 1 for Max. *)
+let extremum ~rows node sign : feeder =
+ fun ~ids ~n_groups ->
+  let count = Array.make n_groups 0 in
+  let zeros = zero_flags rows in
+  let finish box g = if count.(g) = 0 then Value.Null else box g in
+  match Kernel.kind node with
+  | Kernel.Kfloat ->
+    let best = Float.Array.make n_groups 0. in
+    arg_sweep ~rows node (fun inst ->
+        let b = Kernel.float_block inst in
+        fun i0 i1 ->
+          let d = b.data and o = b.off - i0 in
+          let nd, no = null_flags zeros inst in
+          let no = no - i0 in
+          for i = i0 to i1 - 1 do
+            if Bytes.unsafe_get nd (no + i) = '\000' then begin
+              let x = Bigarray.Array1.unsafe_get d (o + i) and g = Array.unsafe_get ids i in
+              let n = Array.unsafe_get count g in
+              if n = 0 || Float.compare x (Float.Array.unsafe_get best g) = sign then
+                Float.Array.unsafe_set best g x;
+              Array.unsafe_set count g (n + 1)
+            end
+          done);
+    finish (fun g -> Value.Float (Float.Array.get best g))
+  | Kernel.Kint | Kernel.Kbool ->
+    (* Bools compare as their 0/1 codes, as [Bool.compare] orders them. *)
+    let best = Array.make n_groups 0 in
+    let ints, box =
+      match Kernel.kind node with
+      | Kernel.Kint ->
+        ( (fun inst ->
+            let b = Kernel.int_block inst in
+            fun k -> Array.unsafe_get b.data (b.off + k)),
+          fun g -> Value.Int best.(g) )
+      | _ ->
+        ( (fun inst ->
+            let b = Kernel.bool_block inst in
+            fun k -> Char.code (Bytes.unsafe_get b.data (b.off + k))),
+          fun g -> Value.Bool (best.(g) = 1) )
+    in
+    arg_sweep ~rows node (fun inst ->
+        let read = ints inst in
+        fun i0 i1 ->
+          let nd, no = null_flags zeros inst in
+          for i = i0 to i1 - 1 do
+            if Bytes.unsafe_get nd (no + i - i0) = '\000' then begin
+              let x = read (i - i0) and g = Array.unsafe_get ids i in
+              let n = Array.unsafe_get count g in
+              if n = 0 || compare x (Array.unsafe_get best g) = sign then
+                Array.unsafe_set best g x;
+              Array.unsafe_set count g (n + 1)
+            end
+          done);
+    finish box
+  | Kernel.Kstr -> invalid_arg "Columnar.extremum: string argument"
 
-let float_feeder ?pool ~rows kenv e finish =
-  Option.map
-    (fun (cell : Kernel.cell) ->
-      let null, value =
-        match pool with
-        | None -> ((fun i -> cell.null i 0), fun i -> cell.value i 0)
-        | Some _ ->
-          let data = Array1.create Bigarray.float64 Bigarray.c_layout rows in
-          let nulls = Bytes.make rows '\000' in
-          Mde_par.Pool.iter ?pool ~site:"columnar.group.scratch" rows (fun i ->
-              if cell.null i 0 then Bytes.set nulls i '\001'
-              else Array1.set data i (cell.value i 0));
-          ((fun i -> Bytes.get nulls i <> '\000'), fun i -> Array1.get data i)
-      in
-      let feed a i =
-        if not (null i) then begin
-          let x = value i in
-          a.kcount <- a.kcount + 1;
-          a.ksum <- a.ksum +. x;
-          a.ksum_sq <- a.ksum_sq +. (x *. x)
-        end
-      in
-      { feed; finish })
-    (Option.bind (Kernel.compile kenv e) Kernel.as_float_cell)
-
-(* Min/Max read the boxed cell so string inputs raise in [Value.to_float]
-   exactly as the row oracle's feed does. *)
-let value_feeder ?pool ~rows kenv e finish =
-  Option.map
-    (fun node ->
-      let read =
-        match pool with
-        | None -> fun i -> Kernel.node_value node i 0
-        | Some _ ->
-          let vals =
-            Mde_par.Pool.init ?pool ~site:"columnar.group.scratch" rows (fun i ->
-                Kernel.node_value node i 0)
-          in
-          fun i -> vals.(i)
-      in
-      let feed a i =
-        match read i with
-        | Value.Null -> ()
-        | v ->
-          let x = Value.to_float v in
-          a.kcount <- a.kcount + 1;
-          a.ksum <- a.ksum +. x;
-          a.ksum_sq <- a.ksum_sq +. (x *. x);
-          if Value.is_null a.kvmin || Value.compare v a.kvmin < 0 then a.kvmin <- v;
-          if Value.is_null a.kvmax || Value.compare v a.kvmax > 0 then a.kvmax <- v
-      in
-      { feed; finish })
-    (Kernel.compile kenv e)
-
-let compile_feeder ?pool ~rows kenv = function
+let compile_feeder ~rows kenv agg : feeder option =
+  (* A string argument is left to the row oracle, which raises from
+     [Value.to_float] at its first non-null cell. *)
+  let numeric e finish = Option.map finish (Option.bind (Kernel.compile kenv e) Kernel.numeric) in
+  match agg with
   | Algebra.Count ->
-    Some { feed = (fun a _ -> a.kcount <- a.kcount + 1); finish = finish_count }
+    Some
+      (fun ~ids ~n_groups ->
+        let count = Array.make n_groups 0 in
+        Array.iter (fun g -> count.(g) <- count.(g) + 1) ids;
+        fun g -> Value.Int count.(g))
   | Algebra.Count_if e ->
     Option.map
-      (fun p ->
-        let test =
-          match pool with
-          | None -> fun i -> p i 0
-          | Some _ ->
-            let flags = Bytes.make rows '\000' in
-            Mde_par.Pool.iter ?pool ~site:"columnar.group.scratch" rows (fun i ->
-                if p i 0 then Bytes.set flags i '\001');
-            fun i -> Bytes.get flags i <> '\000'
-        in
-        {
-          feed = (fun a i -> if test i then a.kcount <- a.kcount + 1);
-          finish = finish_count;
-        })
-      (Option.bind (Kernel.compile kenv e) Kernel.as_pred)
-  | Algebra.Sum e -> float_feeder ?pool ~rows kenv e finish_sum
-  | Algebra.Avg e -> float_feeder ?pool ~rows kenv e finish_avg
-  | Algebra.Std e -> float_feeder ?pool ~rows kenv e finish_std
-  | Algebra.Min e -> value_feeder ?pool ~rows kenv e (fun a -> a.kvmin)
-  | Algebra.Max e -> value_feeder ?pool ~rows kenv e (fun a -> a.kvmax)
+      (fun node ~ids ~n_groups ->
+        let count = Array.make n_groups 0 in
+        arg_sweep ~rows node (fun inst ->
+            let b = Kernel.bool_block inst in
+            fun i0 i1 ->
+              let d = b.data and o = b.off - i0 in
+              for i = i0 to i1 - 1 do
+                let g = Array.unsafe_get ids i in
+                Array.unsafe_set count g
+                  (Array.unsafe_get count g + Char.code (Bytes.unsafe_get d (o + i)))
+              done);
+        fun g -> Value.Int count.(g))
+      (Option.bind (Kernel.compile kenv e) Kernel.truth)
+  | Algebra.Sum e -> numeric e (fun x -> moments ~rows x finish_sum)
+  | Algebra.Avg e -> numeric e (fun x -> moments ~rows x finish_avg)
+  | Algebra.Std e -> numeric e (fun x -> moments ~rows x finish_std)
+  | Algebra.Min e | Algebra.Max e ->
+    let sign = match agg with Algebra.Min _ -> -1 | _ -> 1 in
+    Option.bind (Kernel.compile kenv e) (fun node ->
+        match Kernel.kind node with
+        | Kernel.Kstr -> None (* the row oracle raises, as for Sum *)
+        | Kernel.Kint | Kernel.Kfloat | Kernel.Kbool -> Some (extremum ~rows node sign))
 
 let group_by ?pool ?(packed = true) ?(impl = (`Kernel : impl)) ~keys ~aggs t =
+  (* Every aggregate compiles before any is evaluated: one that does not
+     sends the whole call to the row oracle, and no work is wasted. *)
   let feeders =
-    match impl with
-    | `Interpreter -> None
-    | `Kernel ->
-      let kenv = env t in
-      let rec all = function
-        | [] -> Some []
-        | (_, a) :: rest ->
-          Option.bind (compile_feeder ?pool ~rows:t.n_rows kenv a) (fun f ->
-              Option.map (fun fs -> f :: fs) (all rest))
-      in
-      Option.map Array.of_list (all aggs)
+    compiled ~op:"group_by" impl (fun () ->
+        let kenv = env t in
+        let rec all = function
+          | [] -> Some []
+          | (_, a) :: rest ->
+            Option.bind (compile_feeder ~rows:t.n_rows kenv a) (fun f ->
+                Option.map (fun fs -> f :: fs) (all rest))
+        in
+        Option.map Array.of_list (all aggs))
   in
   match feeders with
-  | None ->
-    (* Any aggregate the compiler does not cover drops the whole group-by
-       to the row oracle itself — identical by construction. *)
-    of_table (Algebra.group_by ~keys ~aggs (to_table t))
+  | None -> of_table (Algebra.group_by ~keys ~aggs (to_table t))
   | Some feeders ->
     let key_cols = key_cols t keys in
     let key_schema_cols = List.map (fun k -> (k, Schema.column_type t.tschema k)) keys in
@@ -276,14 +323,9 @@ let group_by ?pool ?(packed = true) ?(impl = (`Kernel : impl)) ~keys ~aggs t =
     let n_groups =
       if keys = [] then max 1 (Array.length firsts) else Array.length firsts
     in
-    let accs =
-      Array.init n_groups (fun _ -> Array.map (fun _ -> fresh_kacc ()) feeders)
-    in
-    (* Accumulators feed in row order, so float sums match the oracle's. *)
-    for i = 0 to t.n_rows - 1 do
-      let group = accs.(ids.(i)) in
-      Array.iteri (fun a f -> f.feed group.(a) i) feeders
-    done;
+    let finished = Array.make (Array.length feeders) (fun _ -> Value.Null) in
+    Mde_par.Pool.iter ?pool ~site:"columnar.group.aggs" (Array.length feeders) (fun a ->
+        finished.(a) <- feeders.(a) ~ids ~n_groups);
     (* Keys come from each group's first row, aggregates from the finishers. *)
     let key_out = Array.map (fun c -> Column.gather c firsts) key_cols in
     let agg_out =
@@ -291,7 +333,7 @@ let group_by ?pool ?(packed = true) ?(impl = (`Kernel : impl)) ~keys ~aggs t =
         (List.mapi
            (fun a (_, agg) ->
              Column.of_det_cells ~ty:(Algebra.agg_type agg) ~rows:n_groups ~reps:1
-               (fun g -> feeders.(a).finish accs.(g).(a)))
+               finished.(a))
            aggs)
     in
     { tschema = out_schema; n_rows = n_groups; cols = Array.append key_out agg_out }

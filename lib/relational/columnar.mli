@@ -7,10 +7,12 @@
     dictionary-coded), nulls in a packed {!Column.Bitset}. Operators
     come in two implementations, selected per call like the tuple-bundle
     engine's: [`Kernel] (default) compiles predicates, computed columns
-    and aggregate sources to typed closures and falls back per
+    and aggregate sources to block kernels and falls back per
     expression when the compiler does not cover one; [`Interpreter]
     forces the row-at-a-time fallback everywhere and is the bit-identity
-    oracle.
+    oracle. Under [`Kernel], every fallback is counted on
+    [mde_relational_fallback_total{op}] ([op] = [select], [extend] or
+    [group_by]) when a live {!Mde_obs} registry is installed.
 
     The contract, property-tested in [test/test_relational.ml]: every
     operator returns exactly what its {!Algebra} twin returns on the
@@ -39,8 +41,9 @@ val schema : t -> Schema.t
 val row_count : t -> int
 
 val select : ?pool:Mde_par.Pool.t -> ?impl:impl -> Expr.t -> t -> t
-(** σ, preserving row order. With [?pool] the predicate is evaluated
-    row-chunked in parallel (bit-identical: each row's flag is
+(** σ, preserving row order: the predicate's block sweep writes one flag
+    byte per row, and the kept rows are gathered. With [?pool] the
+    blocks are evaluated in parallel (bit-identical: each row's flag is
     independent). *)
 
 val project : string list -> t -> t
@@ -71,15 +74,18 @@ val group_by :
   t
 (** Grouped aggregation with {!Algebra.group_by}'s exact semantics:
     first-seen group order, NaN keys collapse to one group, [keys = []]
-    yields one global row even on empty input. Under [`Kernel] the
-    Sum/Avg/Std/Count paths accumulate unboxed; if any aggregate's
-    source fails to compile the whole call drops to the row oracle.
+    yields one global row even on empty input. Under [`Kernel] every
+    aggregate accumulates unboxed per-group state from its argument's
+    block sweep — Min/Max too, under [Value.compare]'s order with the
+    first of equals kept. All aggregates compile before any runs; if one
+    does not (a string argument among them, which the oracle rejects
+    from [Value.to_float]), the whole call drops to the row oracle and
+    counts as a fallback.
     Groups come from {!Keycode.group_ids} ([packed] as in
     {!equi_join}); keys are gathered from each group's first row. With
-    [?pool] the key encoding and the aggregate
-    sources are evaluated row-chunked in parallel into scratch buffers;
-    accumulation always replays sequentially in row order, so pooled
-    results are bit-identical to sequential ones. *)
+    [?pool] the key encoding is row-chunked in parallel and the
+    aggregates run side by side, each still accumulating in row order,
+    so pooled results are bit-identical to sequential ones. *)
 
 val order_by : ?descending:bool -> ?packed:bool -> string list -> t -> t
 (** Stable sort. With [packed] (default [true]) and every key column

@@ -361,6 +361,143 @@ let test_pooled_bit_identity () =
       check_agg_results_identical "pooled fused query" (Bundle.query seq plan)
         (Bundle.query ~pool par plan))
 
+(* --- block kernels: block boundaries over det and uncertain columns --- *)
+
+(* The deterministic columns cycle hostile values — Null, NaN, ±0.,
+   ±inf, ints around 2^53 — beside the uncertain sbp draw. *)
+let hostile_st n =
+  let floats =
+    [| Value.Null; v_float nan; v_float 0.; v_float (-0.); v_float infinity;
+       v_float neg_infinity; v_float 1.5; v_float 130. |]
+  in
+  let ints =
+    [| v_int (1 lsl 53); v_int ((1 lsl 53) + 1); v_int (-(1 lsl 53) - 1); v_int 0; v_int 3;
+       Value.Null |]
+  in
+  let strs = [| v_str "F"; v_str "M"; Value.Null |] in
+  let pick pool r k = pool.((r * k) mod Array.length pool) in
+  let driver =
+    Table.create
+      (Schema.of_list
+         [ ("pid", Value.Tint); ("x", Value.Tfloat); ("i", Value.Tint); ("gender", Value.Tstring) ])
+      (List.init n (fun r -> [| v_int r; pick floats r 3; pick ints r 5; pick strs r 7 |]))
+  in
+  St.define ~name:"HOSTILE"
+    ~schema:
+      (Schema.of_list
+         [ ("pid", Value.Tint); ("x", Value.Tfloat); ("i", Value.Tint);
+           ("gender", Value.Tstring); ("sbp", Value.Tfloat) ])
+    ~driver ~vg:Vg.normal
+    ~params:(fun _ -> [ sbp_param ])
+    ~combine:(fun d v -> [| d.(0); d.(1); d.(2); d.(3); v.(0) |])
+
+(* An uncertain float column with Null cells: [Lit Null] keeps the
+   derivation on the interpreter, which stores it per repetition. *)
+let with_h = [ ("h", Value.Tfloat, Expr.(If (col "sbp" > float 125., Lit Value.Null, col "sbp" - col "x"))) ]
+
+let block_preds =
+  Expr.
+    [ col "sbp" > col "x";
+      col "i" < col "sbp";
+      Is_null (col "h");
+      col "h" >= float 0.;
+      If (col "gender" = string "F", col "h" > float 0., col "x" < float 1.);
+      col "x" = float 0.;
+      not_ (col "gender" = string "M") && col "sbp" >= float 100. ]
+
+let block_defs =
+  Expr.
+    [ ("u", Value.Tfloat, col "sbp" + col "x");
+      ("v", Value.Tfloat, If (Is_null (col "h"), col "sbp", col "h"));
+      ("k", Value.Tint, col "i" + int 1);
+      ("q", Value.Tbool, col "h" > col "x") ]
+
+let block_aggs =
+  [ ("n", Bundle.Count); ("s", Bundle.Sum (Expr.col "h"));
+    ("a", Bundle.Avg Expr.(col "sbp" + col "x")); ("lo", Bundle.Min (Expr.col "h"));
+    ("hi", Bundle.Max (Expr.col "x")) ]
+
+let same_presence msg a b =
+  for i = 0 to Bundle.row_count a - 1 do
+    for r = 0 to Bundle.n_reps a - 1 do
+      if Bundle.present a i r <> Bundle.present b i r then
+        Alcotest.failf "%s: presence differs at (%d,%d)" msg i r
+    done
+  done
+
+let same_rows msg a b =
+  for i = 0 to Bundle.row_count a - 1 do
+    for r = 0 to Bundle.n_reps a - 1 do
+      if not (row_eq (Bundle.realize_row a i r) (Bundle.realize_row b i r)) then
+        Alcotest.failf "%s: row differs at (%d,%d)" msg i r
+    done
+  done
+
+let test_block_boundaries () =
+  Pool.with_pool ~domains:2 (fun pool ->
+      List.iter
+        (fun reps ->
+          let per_block = max 1 (Kernel.block_size / reps) in
+          List.iter
+            (fun n ->
+              let label what = Printf.sprintf "%s, %d rows x %d reps" what n reps in
+              let st = hostile_st n and seed = 40 + n + reps in
+              let b =
+                Bundle.extend ~impl:`Interpreter with_h
+                  (Bundle.of_stochastic_table st (Rng.create ~seed ()) ~n_reps:reps)
+              in
+              let naive =
+                Array.map (Algebra.extend with_h)
+                  (St.instantiate_many st (Rng.create ~seed ()) reps)
+              in
+              List.iteri
+                (fun k pred ->
+                  let what = label (Printf.sprintf "select %d" k) in
+                  let kernel = Bundle.select pred b in
+                  same_presence what kernel (Bundle.select ~impl:`Interpreter pred b);
+                  same_presence (what ^ " pooled") kernel (Bundle.select ~pool pred b);
+                  Array.iteri
+                    (fun r t ->
+                      check_tables_identical what (Algebra.select pred naive.(r)) t)
+                    (Bundle.to_instances kernel))
+                block_preds;
+              List.iter
+                (fun ((name, _, _) as def) ->
+                  let what = label ("extend " ^ name) in
+                  let kernel = Bundle.extend [ def ] b in
+                  same_rows what kernel (Bundle.extend ~impl:`Interpreter [ def ] b);
+                  same_rows (what ^ " pooled") kernel (Bundle.extend ~pool [ def ] b);
+                  Array.iteri
+                    (fun r t ->
+                      check_tables_identical what (Algebra.extend [ def ] naive.(r)) t)
+                    (Bundle.to_instances kernel))
+                block_defs;
+              let filtered = Bundle.select Expr.(col "sbp" > float 115.) b in
+              List.iter
+                (fun keys ->
+                  let what = label ("aggregate [" ^ String.concat ";" keys ^ "]") in
+                  let kernel = Bundle.aggregate ~keys block_aggs filtered in
+                  check_agg_results_identical what kernel
+                    (Bundle.aggregate ~impl:`Interpreter ~keys block_aggs filtered);
+                  check_agg_results_identical (what ^ " pooled") kernel
+                    (Bundle.aggregate ~pool ~keys block_aggs filtered);
+                  let p =
+                    {
+                      Bundle.where_ = Some Expr.(col "h" < col "sbp");
+                      derive = [ ("u", Value.Tfloat, Expr.(col "sbp" + col "x")) ];
+                      group_keys = keys;
+                      aggs = ("w", Bundle.Sum (Expr.col "u")) :: block_aggs;
+                    }
+                  in
+                  let fused = Bundle.query b p in
+                  check_agg_results_identical (what ^ " fused") fused
+                    (compose ~impl:`Interpreter b p);
+                  check_agg_results_identical (what ^ " fused pooled") fused
+                    (Bundle.query ~pool b p))
+                [ []; [ "gender" ] ])
+            [ 0; 1; per_block - 1; per_block; per_block + 1; (3 * per_block) + 7 ])
+        [ 1; 7; 64 ])
+
 (* --- survivors = popcount of presence ---------------------------------- *)
 
 let test_survivors_popcount () =
@@ -603,7 +740,9 @@ let () =
         ] );
       ( "parallel",
         [ Alcotest.test_case "pooled = sequential, bit for bit" `Quick
-            test_pooled_bit_identity ] );
+            test_pooled_bit_identity;
+          Alcotest.test_case "block boundaries, det and uncertain" `Quick
+            test_block_boundaries ] );
       ( "presence",
         [ Alcotest.test_case "survivors = popcount" `Quick test_survivors_popcount ] );
       ( "nan-keys",

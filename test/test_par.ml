@@ -107,6 +107,29 @@ let test_iter_optional_pool () =
   Pool.with_pool ~domains:3 (fun pool ->
       Alcotest.(check (array int)) "pooled fill identical" expected (fill (Some pool)))
 
+let test_iter_ranges_partition () =
+  (* Chunks partition [0, n): every index in exactly one range, ranges
+     non-empty; without a pool the whole batch is the one range. *)
+  let covered pool n =
+    let hits = Array.init n (fun _ -> Atomic.make 0) in
+    let ranges = Atomic.make 0 in
+    Pool.iter_ranges ?pool n (fun lo hi ->
+        if lo >= hi then Alcotest.fail "empty range";
+        Atomic.incr ranges;
+        for i = lo to hi - 1 do
+          Atomic.incr hits.(i)
+        done);
+    (Array.for_all (fun h -> Atomic.get h = 1) hits, Atomic.get ranges)
+  in
+  Alcotest.(check (pair bool int)) "sequential: one range" (true, 1) (covered None 300);
+  Alcotest.(check (pair bool int)) "empty: no call" (true, 0) (covered None 0);
+  Pool.with_pool ~domains:3 (fun pool ->
+      List.iter
+        (fun n ->
+          Alcotest.(check bool) (Printf.sprintf "pooled %d: each index once" n) true
+            (fst (covered (Some pool) n)))
+        [ 0; 1; 7; 1000 ])
+
 let test_stats_and_steals () =
   Pool.with_pool ~domains:2 (fun pool ->
       ignore (Pool.parallel_init pool ~chunk:1 32 Fun.id);
@@ -345,6 +368,7 @@ let () =
             test_crossover_fast_path_engages;
           Alcotest.test_case "shared pool reused" `Quick test_shared_pool_reused;
           Alcotest.test_case "iter with optional pool" `Quick test_iter_optional_pool;
+          Alcotest.test_case "iter_ranges partitions" `Quick test_iter_ranges_partition;
           Alcotest.test_case "exception propagation" `Quick test_exception_propagates;
           Alcotest.test_case "parallel_iter each index once" `Quick
             test_parallel_iter_each_index_once;

@@ -535,6 +535,252 @@ let test_columnar_pooled_identity () =
                (Columnar.to_table (Columnar.extend ~pool ~impl defs c))))
         [ `Kernel; `Interpreter ])
 
+(* --- block kernels: block boundaries and hostile values --- *)
+
+(* Row counts around the kernel's block size: empty, one row, the last
+   partial block, an exact block, one row over, and several blocks with
+   a ragged tail. *)
+let block_row_counts =
+  let b = Kernel.block_size in
+  [ 0; 1; b - 1; b; b + 1; (3 * b) + 7 ]
+
+let hostile_floats =
+  [| Value.Null; Value.Float nan; Value.Float 0.; Value.Float (-0.); Value.Float infinity;
+     Value.Float neg_infinity; Value.Float 1.5; Value.Float (-2.25);
+     Value.Float 9007199254740992.; Value.Float 9007199254740993. |]
+
+(* Ints around 2^53, where the float image stops being exact, next to
+   small ones and Null. *)
+let hostile_ints =
+  [| Value.Int (1 lsl 53); Value.Int ((1 lsl 53) + 1); Value.Int (-(1 lsl 53) - 1);
+     Value.Int 0; Value.Int 3; Value.Int (-7); Value.Null |]
+
+let hostile_strings = [| Value.String "a"; Value.String "b"; Value.Null; Value.String "" |]
+let hostile_bools = [| Value.Bool true; Value.Bool false; Value.Null |]
+
+(* Cells cycle through the pools at co-prime strides, so every pairing
+   shows up and every block sees a different mix. *)
+let hostile_table n =
+  Table.create
+    (Schema.of_list
+       [ ("f", Value.Tfloat); ("i", Value.Tint); ("s", Value.Tstring); ("b", Value.Tbool);
+         ("g", Value.Tint) ])
+    (List.init n (fun r ->
+         let pick pool k = pool.((r * k) mod Array.length pool) in
+         [| pick hostile_floats 7; pick hostile_ints 5; pick hostile_strings 3;
+            pick hostile_bools 11; Value.Int (r mod 4) |]))
+
+let hostile_preds =
+  Expr.
+    [ col "f" > float 0.;
+      col "f" = float 0.;
+      col "f" < float nan;
+      float nan < col "f";
+      col "i" >= col "f";
+      col "i" < int 3;
+      col "s" = string "b";
+      string "b" < col "s";
+      col "s" = col "s";
+      not_ (col "b");
+      Is_null (col "f");
+      If (col "b", col "f" > float 0., col "i" < int 3);
+      col "b" = bool true;
+      col "f" / col "i" > float 1.;
+      Neg (col "i") < int 0;
+      (col "f" > float 0. && col "b") || Is_null (col "s") ]
+
+let hostile_defs =
+  Expr.
+    [ ("d", Value.Tfloat, col "f" / col "i");
+      ("n", Value.Tint, Neg (col "i") + int 1);
+      ("m", Value.Tint, col "i" * col "i");
+      ("c", Value.Tbool, Is_null (col "s"));
+      ("w", Value.Tfloat, If (col "b", col "f", col "f" * float 2.));
+      ("t", Value.Tstring, If (col "f" > float 0., col "s", string "z"));
+      ("x", Value.Tfloat, col "i" + col "f") ]
+
+(* Float-valued aggregates only: Algebra types Min/Max as float, so an
+   int argument's Int result cannot sit in its output table. *)
+let hostile_aggs =
+  Expr.
+    [ ("n", Algebra.Count);
+      ("pos", Algebra.Count_if (col "f" > float 0.));
+      ("s", Algebra.Sum (col "f"));
+      ("a", Algebra.Avg (col "f"));
+      ("sd", Algebra.Std (col "f"));
+      ("lo", Algebra.Min (col "f"));
+      ("hi", Algebra.Max (col "f"));
+      ("si", Algebra.Sum (col "i"));
+      ("ai", Algebra.Avg (col "i"));
+      ("sb", Algebra.Sum (col "b"));
+      ("lx", Algebra.Min (col "i" + float 0.)) ]
+
+let test_block_boundaries () =
+  Mde_par.Pool.with_pool ~domains:2 (fun pool ->
+      List.iter
+        (fun n ->
+          let t = hostile_table n in
+          let c = Columnar.of_table t in
+          let check what oracle f =
+            let label impl pooled =
+              Printf.sprintf "%s, %d rows, %s%s" what n (Impl.to_string impl)
+                (if pooled then ", pooled" else "")
+            in
+            List.iter
+              (fun impl ->
+                List.iter
+                  (fun pooled ->
+                    let pool = if pooled then Some pool else None in
+                    if not (tables_identical oracle (Columnar.to_table (f ?pool impl))) then
+                      Alcotest.failf "%s differs from the row oracle" (label impl pooled))
+                  [ false; true ])
+              [ `Kernel; `Interpreter ]
+          in
+          List.iteri
+            (fun k pred ->
+              check (Printf.sprintf "select %d" k) (Algebra.select pred t)
+                (fun ?pool impl -> Columnar.select ?pool ~impl pred c))
+            hostile_preds;
+          List.iter
+            (fun ((name, _, _) as def) ->
+              check ("extend " ^ name) (Algebra.extend [ def ] t)
+                (fun ?pool impl -> Columnar.extend ?pool ~impl [ def ] c))
+            hostile_defs;
+          List.iter
+            (fun keys ->
+              check
+                ("group_by [" ^ String.concat ";" keys ^ "]")
+                (Algebra.group_by ~keys ~aggs:hostile_aggs t)
+                (fun ?pool impl -> Columnar.group_by ?pool ~impl ~keys ~aggs:hostile_aggs c))
+            [ []; [ "g" ]; [ "f" ] ])
+        block_row_counts)
+
+(* Min/Max keep [Value.compare]'s order and its first of equals: max of
+   [0.; -0.] is 0., NaN is the least float, and an int argument keeps
+   its exact Int result (which Algebra's float-typed output rejects, so
+   both engines raise the same error from [to_table]). *)
+let test_group_extremes () =
+  let t =
+    Table.create
+      (Schema.of_list [ ("g", Value.Tint); ("f", Value.Tfloat); ("i", Value.Tint) ])
+      [ [| v_int 0; v_float 0.; v_int ((1 lsl 53) + 1) |];
+        [| v_int 0; v_float (-0.); v_int (1 lsl 53) |];
+        [| v_int 1; v_float (-0.); Value.Null |];
+        [| v_int 1; v_float 0.; v_int (-3) |];
+        [| v_int 2; v_float nan; v_int 4 |];
+        [| v_int 2; v_float 1.; v_int 4 |];
+        [| v_int 3; Value.Null; Value.Null |] ]
+  in
+  let c = Columnar.of_table t in
+  let aggs =
+    [ ("lo", Algebra.Min (Expr.col "f")); ("hi", Algebra.Max (Expr.col "f"));
+      ("s", Algebra.Sum (Expr.col "f")); ("a", Algebra.Avg (Expr.col "f"));
+      ("sd", Algebra.Std (Expr.col "f")) ]
+  in
+  let oracle = Algebra.group_by ~keys:[ "g" ] ~aggs t in
+  let floats name =
+    Array.map (fun r -> r.(Schema.column_index (Table.schema oracle) name)) (Table.rows oracle)
+  in
+  Alcotest.(check bool) "max [0.; -0.] keeps 0." true
+    (value_identical (floats "hi").(0) (v_float 0.));
+  Alcotest.(check bool) "min [-0.; 0.] keeps -0." true
+    (value_identical (floats "lo").(1) (v_float (-0.)));
+  Alcotest.(check bool) "NaN is the least float" true
+    (value_identical (floats "lo").(2) (v_float nan));
+  Alcotest.(check bool) "all-Null group is Null" true ((floats "hi").(3) = Value.Null);
+  Mde_par.Pool.with_pool ~domains:2 (fun pool ->
+      Alcotest.(check bool) "kernel == interpreter == row" true
+        (both_impls oracle (fun impl -> Columnar.group_by ~impl ~keys:[ "g" ] ~aggs c));
+      Alcotest.(check bool) "pooled == row" true
+        (tables_identical oracle
+           (Columnar.to_table (Columnar.group_by ~pool ~keys:[ "g" ] ~aggs c)));
+      (* Int extremes: read back through an interpreted extend, which
+         boxes the exact Int into an int-typed column. *)
+      let int_aggs = [ ("lo", Algebra.Min (Expr.col "i")); ("hi", Algebra.Max (Expr.col "i")) ] in
+      let expect = [ (1 lsl 53, (1 lsl 53) + 1); (-3, -3); (4, 4) ] in
+      List.iter
+        (fun pool ->
+          let g = Columnar.group_by ?pool ~keys:[ "g" ] ~aggs:int_aggs c in
+          let ints =
+            Columnar.to_table
+              (Columnar.project [ "lo_i"; "hi_i" ]
+                 (Columnar.extend ~impl:`Interpreter
+                    [ ("lo_i", Value.Tint, Expr.col "lo"); ("hi_i", Value.Tint, Expr.col "hi") ]
+                    g))
+          in
+          List.iteri
+            (fun k (lo, hi) ->
+              Alcotest.(check bool) "exact int min" true (Table.get ints k "lo_i" = v_int lo);
+              Alcotest.(check bool) "exact int max" true (Table.get ints k "hi_i" = v_int hi))
+            expect;
+          Alcotest.(check bool) "int-free group is Null" true
+            (Table.get ints 3 "lo_i" = Value.Null))
+        [ None; Some pool ]);
+  let raised f = match f () with _ -> None | exception Invalid_argument m -> Some m in
+  let int_max = [ ("hi", Algebra.Max (Expr.col "i")) ] in
+  Alcotest.(check (option string)) "int Max raises as the row oracle does"
+    (raised (fun () -> Algebra.group_by ~keys:[ "g" ] ~aggs:int_max t))
+    (raised (fun () -> Columnar.to_table (Columnar.group_by ~keys:[ "g" ] ~aggs:int_max c)));
+  (* A string argument raises from Value.to_float, in either engine. *)
+  let str_sum = [ ("x", Algebra.Sum (Expr.string "a")) ] in
+  Alcotest.(check (option string)) "string Sum raises as the row oracle does"
+    (raised (fun () -> Algebra.group_by ~keys:[ "g" ] ~aggs:str_sum t))
+    (raised (fun () -> Columnar.to_table (Columnar.group_by ~keys:[ "g" ] ~aggs:str_sum c)))
+
+(* No fast path falls back silently: every interpreter drop is counted
+   on [mde_relational_fallback_total{op}]. *)
+let test_fallback_counter () =
+  let registry = Mde_obs.create () in
+  Mde_obs.set_default registry;
+  Fun.protect
+    ~finally:(fun () -> Mde_obs.set_default Mde_obs.noop)
+    (fun () ->
+      let count op =
+        Mde_obs.Counter.value
+          (Mde_obs.counter registry ~labels:[ ("op", op) ] "mde_relational_fallback_total")
+      in
+      let rng = Mde_prob.Rng.create ~seed:3 () in
+      let c =
+        Columnar.of_table
+          (mixed_table
+             (List.init 300 (fun _ ->
+                  ( Value.Float (Mde_prob.Rng.float_range rng 0. 8.),
+                    Mde_prob.Rng.int rng 16,
+                    Value.Float (Mde_prob.Rng.float_range rng (-1.) 1.) ))))
+      in
+      (* The relational-batch mix: its select, extend, group and plan
+         scan all stay on compiled kernels. *)
+      let pred = Expr.(col "v" > float (-0.5) && col "k" < float 6.) in
+      let defs = [ ("risk", Value.Tfloat, Expr.(((col "v" - float 0.1) * float 2.) + col "k")) ] in
+      let aggs =
+        [ ("n", Algebra.Count); ("total", Algebra.Sum (Expr.col "v"));
+          ("mean_risk", Algebra.Avg (Expr.col "risk"));
+          ("max_risk", Algebra.Max (Expr.col "risk")) ]
+      in
+      let selected = Columnar.select pred c in
+      ignore (Columnar.select Expr.(col "v" > float 0.5) c);
+      ignore (Columnar.group_by ~keys:[ "g" ] ~aggs (Columnar.extend defs selected));
+      List.iter
+        (fun op -> Alcotest.(check int) (op ^ ": no fallback") 0 (count op))
+        [ "select"; "extend"; "group_by" ];
+      ignore (Columnar.select Expr.(col "v" > Lit Value.Null) c);
+      Alcotest.(check int) "Lit Null predicate falls back once" 1 (count "select");
+      ignore
+        (Columnar.group_by ~keys:[ "g" ]
+           ~aggs:[ ("m", Algebra.Max Expr.(col "v" + Lit Value.Null)) ]
+           c);
+      Alcotest.(check int) "uncompiled aggregate drops the group_by" 1 (count "group_by");
+      (* A string aggregate argument is the row oracle's to reject. *)
+      (match
+         Columnar.group_by ~keys:[ "g" ] ~aggs:[ ("s", Algebra.Sum (Expr.string "a")) ] c
+       with
+      | _ -> Alcotest.fail "string Sum should raise"
+      | exception Invalid_argument _ -> ());
+      Alcotest.(check int) "string Sum drops the group_by" 2 (count "group_by");
+      (* The interpreter is asked for, not fallen back to. *)
+      ignore (Columnar.select ~impl:`Interpreter pred c);
+      Alcotest.(check int) "forced interpreter is not a fallback" 1 (count "select"))
+
 (* --- packed key codes --- *)
 
 let det_col ty vs =
@@ -1565,6 +1811,9 @@ let () =
           Alcotest.test_case "empty global aggregate" `Quick test_columnar_empty_global;
           Alcotest.test_case "negative limit raises" `Quick test_limit_negative;
           Alcotest.test_case "pooled == sequential" `Quick test_columnar_pooled_identity;
+          Alcotest.test_case "block boundaries, hostile values" `Quick test_block_boundaries;
+          Alcotest.test_case "group Min/Max/Sum/Avg/Std extremes" `Quick test_group_extremes;
+          Alcotest.test_case "fallbacks are counted" `Quick test_fallback_counter;
         ] );
       ( "keycode",
         [
